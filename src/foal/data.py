@@ -15,6 +15,7 @@ frame's mask is computed analytically rather than warped.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
@@ -321,10 +322,16 @@ def read_checkpoint(path) -> ParamSet:
     count = cur.u32()
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = cur.take(cur.u32()).decode("utf-8")
+        name_len = cur.u32()
+        at = cur.pos
+        try:
+            name = cur.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: tensor name is not valid UTF-8 at byte "
+                              f"offset {at + e.start}") from None
         ndim = cur.u32()
         dims = struct.unpack(f"<{ndim}I", cur.take(4 * ndim))
-        size = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+        size = math.prod(dims)  # exact: huge dims fail as truncation below
         data = np.frombuffer(cur.take(8 * size), dtype="<f8").reshape(dims)
         if name in arrays:
             raise FormatError(f"{path}: duplicate tensor name '{name}'")

@@ -123,63 +123,35 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
                               T.concat_channels([x, x]), 1, 3, 0, 2))),
                           rng.normal(size=(2, 4, 4))))
 
-    # conv2d, all three arguments
+    # conv2d, all three arguments, at stride 2 (encoder) and 1 (fuse, head)
     cx = rng.normal(size=(2, 6, 6))
     cw = rng.normal(size=(3, 2, 3, 3))
     cb = rng.normal(size=3)
-    results.append(_check("conv2d_input",
-                          lambda x: T.mean(T.square(T.conv2d(
-                              x, Tensor(cw), Tensor(cb), 2, 1))), cx.copy()))
+    for tag, stride in (("", 2), ("_stride1", 1)):
+        def conv(x, w, b, stride=stride):
+            return T.mean(T.square(T.conv2d(x, w, b, stride, 1)))
 
-    w = Tensor(cw.copy(), requires_grad=True)
-    b = Tensor(cb.copy(), requires_grad=True)
-    T.mean(T.square(T.conv2d(Tensor(cx), w, b, 2, 1))).backward()
-
-    def conv_w(arr):
-        with T.no_grad():
-            return T.mean(T.square(T.conv2d(Tensor(cx), Tensor(arr),
-                                            Tensor(cb), 2, 1))).item()
-
-    def conv_b(arr):
-        with T.no_grad():
-            return T.mean(T.square(T.conv2d(Tensor(cx), Tensor(cw),
-                                            Tensor(arr), 2, 1))).item()
-
-    results.append(CheckResult("conv2d_weight",
-                               max_rel_err(w.grad, finite_diff(conv_w, cw.copy())),
-                               PRIMITIVE_TOL))
-    results.append(CheckResult("conv2d_bias",
-                               max_rel_err(b.grad, finite_diff(conv_b, cb.copy())),
-                               PRIMITIVE_TOL))
+        results.append(_check(f"conv2d{tag}_input",
+                              lambda x: conv(x, Tensor(cw), Tensor(cb)), cx.copy()))
+        results.append(_check(f"conv2d{tag}_weight",
+                              lambda w: conv(Tensor(cx), w, Tensor(cb)), cw.copy()))
+        results.append(_check(f"conv2d{tag}_bias",
+                              lambda b: conv(Tensor(cx), Tensor(cw), b), cb.copy()))
 
     # conv_transpose2d, all three arguments
     tx = rng.normal(size=(3, 4, 4))
     tw = rng.normal(size=(3, 2, 4, 4))
     tb = rng.normal(size=2)
+
+    def tconv(x, w, b):
+        return T.mean(T.square(T.conv_transpose2d(x, w, b, 2, 1)))
+
     results.append(_check("conv_transpose2d_input",
-                          lambda x: T.mean(T.square(T.conv_transpose2d(
-                              x, Tensor(tw), Tensor(tb), 2, 1))), tx.copy()))
-
-    w = Tensor(tw.copy(), requires_grad=True)
-    b = Tensor(tb.copy(), requires_grad=True)
-    T.mean(T.square(T.conv_transpose2d(Tensor(tx), w, b, 2, 1))).backward()
-
-    def tconv_w(arr):
-        with T.no_grad():
-            return T.mean(T.square(T.conv_transpose2d(
-                Tensor(tx), Tensor(arr), Tensor(tb), 2, 1))).item()
-
-    def tconv_b(arr):
-        with T.no_grad():
-            return T.mean(T.square(T.conv_transpose2d(
-                Tensor(tx), Tensor(tw), Tensor(arr), 2, 1))).item()
-
-    results.append(CheckResult("conv_transpose2d_weight",
-                               max_rel_err(w.grad, finite_diff(tconv_w, tw.copy())),
-                               PRIMITIVE_TOL))
-    results.append(CheckResult("conv_transpose2d_bias",
-                               max_rel_err(b.grad, finite_diff(tconv_b, tb.copy())),
-                               PRIMITIVE_TOL))
+                          lambda x: tconv(x, Tensor(tw), Tensor(tb)), tx.copy()))
+    results.append(_check("conv_transpose2d_weight",
+                          lambda w: tconv(Tensor(tx), w, Tensor(tb)), tw.copy()))
+    results.append(_check("conv_transpose2d_bias",
+                          lambda b: tconv(Tensor(tx), Tensor(tw), b), tb.copy()))
 
     # warp: image argument, then flow argument with off-kink coordinates
     img = rng.normal(size=(5, 6))

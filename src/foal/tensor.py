@@ -18,6 +18,7 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(ValueError):
@@ -262,10 +263,10 @@ def leaky_relu(a, slope: float = 0.1) -> Tensor:
     slope = float(slope)
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must lie in (0, 1), got {slope}")
-    # gradient at exactly 0 takes the negative-side slope
-    factor = np.where(a.data > 0.0, 1.0, slope)
-    return _record(np.where(a.data > 0.0, a.data, a.data * slope), (a,),
-                   lambda g: (g * factor,))
+    # 0 < slope < 1: max(a, slope*a) is the value, max(a > 0, slope) the slope
+    positive = a.data > 0.0
+    return _record(np.maximum(a.data, slope * a.data), (a,),
+                   lambda g: (g * np.maximum(positive, slope),))
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
@@ -327,62 +328,147 @@ def slice_hw(a, h0: int, h1: int, w0: int, w1: int) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 #
-# conv2d and conv_transpose2d are exact adjoints of each other in the input
-# argument, and both backwards reuse the same im2col/col2im kernels, so the
-# inner-product identity <conv(u,w), v> == <u, convT(v,w)> holds to rounding.
+# conv2d is a stride-s correlation (_corr) whose input gradient is its adjoint
+# (_corr_adj), and conv_transpose2d the reverse, so <conv(u,w), v> equals
+# <u, convT(v,w)> to rounding. The padded input is split into s*s polyphase
+# parts, each flattened, so every tap is a GEMM on an offset view of a part.
+# Forward GEMMs run per sample, so a batch row is bitwise equal to that sample
+# alone; backward GEMMs run over the whole batch.
 
 
-def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - k) // stride + 1
+def _parts(s: int, k: int, pad: int, size: int) -> list[tuple[int, int, int, int]]:
+    """(p, u0, r0, count) for each phase p < min(s, k) of an axis padded by
+    pad: pixel r0 + i*s, i < count, sits at padded position (u0 + i)*s + p."""
+    firsts = [(p, (p - pad) % s) for p in range(min(s, k))]
+    return [(p, (r0 + pad - p) // s, r0, len(range(r0, size, s))) for p, r0 in firsts if r0 < size]
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """[N,C,Hp,Wp] padded input -> [N, C*k*k, oh*ow] patch matrix."""
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, k, k, oh, ow), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + (oh - 1) * stride + 1:stride,
-                                  j:j + (ow - 1) * stride + 1:stride]
-    return cols.reshape(n, c * k * k, oh * ow)
+def _phases(x: np.ndarray, s: int, k: int, pad: int) -> np.ndarray:
+    """[N,C,H,W] -> [s, s, C, N, hq, wq] holding padded pixel (u*s + a, v*s + b)
+    at [a, b, :, :, u, v], with hq = ceil((H + 2*pad) / s) and wq likewise."""
+    n, c, h, w = x.shape
+    xb = np.zeros((s, s, c, n, -(-(h + 2 * pad) // s), -(-(w + 2 * pad) // s)))
+    for a, u0, r0, nu in _parts(s, k, pad, h):
+        for b, v0, c0, nv in _parts(s, k, pad, w):
+            xb[a, b, :, :, u0:u0 + nu, v0:v0 + nv] = x[:, :, r0::s, c0::s].transpose(1, 0, 2, 3)
+    return xb
 
 
-def _col2im(cols: np.ndarray, k: int, stride: int, pad: int,
-            h: int, w: int, oh: int, ow: int) -> np.ndarray:
-    """Adjoint of _im2col: [N, C*k*k, oh*ow] -> [N, C, h, w]."""
-    n = cols.shape[0]
-    c = cols.shape[1] // (k * k)
-    cols = cols.reshape(n, c, k, k, oh, ow)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    for i in range(k):
-        for j in range(k):
-            xp[:, :, i:i + (oh - 1) * stride + 1:stride,
-               j:j + (ow - 1) * stride + 1:stride] += cols[:, :, i, j]
-    return xp[:, :, pad:pad + h, pad:pad + w]
+def _shifted_gemm(groups, row: int, span: int) -> np.ndarray:
+    """Sum over groups (w [ti, tj, M, K], x [B, K, L]) and taps (i, j) of
+    w[i, j] @ x shifted by i*row + j, as [B, M, span], one GEMM per row of B.
+    Taps are stacked on the narrower side: shifted views of x along K when
+    M > K, else products with x along M, summed through their shifts."""
+    def shifted(a):  # [B, ti, tj, R, L] -> [B, ti, tj, R, span]
+        st = a.strides
+        return as_strided(a, a.shape[:4] + (span,), (st[0], st[1] + row * st[4],
+                          st[2] + st[4], st[3], st[4]), writeable=False)
+    m, kk = groups[0][0].shape[2:]
+    if m <= kk:
+        return sum(shifted(np.matmul(w.reshape(-1, kk), x).reshape(len(x), *w.shape[:3], -1))
+                   .sum(axis=(1, 2)) for w, x in groups)
+    cols = np.empty((len(groups[0][1]), sum(w[..., 0, 0].size for w, _ in groups) * kk, span))
+    t = 0
+    for w, x in groups:  # one copy of each group's shifted views into its rows of cols
+        v = shifted(np.broadcast_to(x[:, None, None], (len(x), *w.shape[:2], *x.shape[1:])))
+        cols[:, t:t + v[0, ..., 0].size].reshape(v.shape)[...] = v
+        t += v[0, ..., 0].size
+    w2 = np.concatenate([w.transpose(2, 0, 1, 3).reshape(m, -1) for w, _ in groups], axis=1)
+    return np.matmul(w2, cols)
 
 
-def _check_conv_args(x: Tensor, weight: Tensor, bias: Tensor,
-                     stride: int, pad: int, name: str,
-                     in_axis: int, out_axis: int) -> None:
+def _corr(xb: np.ndarray, w: np.ndarray, oh: int, ow: int, batch: bool,
+          base: int = 0) -> np.ndarray:
+    """Correlation of parts xb with w [M, C, k, k] -> [N, M, oh, ow]: tap (a, b)
+    reads part (a % s, b % s) at (a // s, b // s) past flat offset `base`."""
+    s, _, c, n, hq, wq = xb.shape
+    nb, taps, ks = (1 if batch else n), w.transpose(2, 3, 0, 1), range(min(s, w.shape[2]))
+    # [s, s, nb, C, L]: a row per sample, or the batch end to end; rows of width wq
+    # are computed in full and the columns past ow dropped
+    flat = xb.reshape(s, s, c, nb, -1).transpose(0, 1, 3, 2, 4)[..., base:]
+    y = _shifted_gemm([(taps[a::s, b::s], flat[a, b]) for a in ks for b in ks],
+                      wq, (n - nb) * hq * wq + (oh - 1) * wq + ow)
+    step = hq * wq * y.itemsize if batch else y.strides[0]
+    return as_strided(y, (n, w.shape[0], oh, ow), (step, y.strides[1], wq * y.itemsize, y.itemsize))
+
+
+def _corr_adj(y: np.ndarray, w: np.ndarray, s: int, pad: int, h: int, wd: int,
+              batch: bool) -> np.ndarray:
+    """Adjoint of _corr in its input, [N, M, oh, ow] -> [N, C, h, wd]. Padded
+    pixel (u*s + a, v*s + b) gathers taps a + i*s, b + j*s from y[u - i, v - j]:
+    each part is a stride-1 correlation of zero-extended y with flipped taps."""
+    k = w.shape[2]
+    rows, cols = _parts(s, k, pad, h), _parts(s, k, pad, wd)
+    top = max([0] + [(k - 1 - p) // s - u0 for p, u0, _, _ in rows + cols])
+    yb = np.pad(y.transpose(1, 0, 2, 3)[None, None], [(0, 0)] * 4 + [
+        (top, max([0] + [u0 + m - y.shape[d] for _, u0, _, m in ps]))
+        for d, ps in ((2, rows), (3, cols))])
+    flipped = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    out = np.zeros((len(y), w.shape[1], h, wd))
+    for a, u0, r0, nu in rows:
+        for b, v0, c0, nv in cols:
+            wp = flipped[:, :, (k - 1 - a) % s::s, (k - 1 - b) % s::s]
+            base = (top + u0 - wp.shape[2] + 1) * yb.shape[-1] + top + v0 - wp.shape[3] + 1
+            out[:, :, r0::s, c0::s] = _corr(yb, wp, nu, nv, batch, base)
+    return out
+
+
+def _corr_wgrad(xb: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """Gradient in w of <_corr(xb, w), g>: one GEMM per tap over the batch,
+    with g zero-extended to the part grid so the dropped columns add nothing."""
+    s, _, c, n, hq, wq = xb.shape
+    co, oh, ow = g.shape[1:]
+    gf = np.pad(g.transpose(1, 0, 2, 3), [(0, 0), (0, 0), (0, hq - oh), (0, wq - ow)])
+    gf, xf = gf.reshape(co, -1)[:, :(n - 1) * hq * wq + (oh - 1) * wq + ow], xb.reshape(s, s, c, -1)
+    return np.stack([gf @ xf[a % s, b % s, :, a // s * wq + b // s:][:, :gf.shape[1]].T
+                     for a in range(k) for b in range(k)], axis=-1).reshape(co, c, k, k)
+
+
+def _conv(x, weight, bias, stride: int, pad: int, transposed: bool) -> Tensor:
+    name = "conv_transpose2d" if transposed else "conv2d"
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.ndim not in (3, 4):
         raise ShapeError(f"{name}: input must be [C,H,W] or [N,C,H,W], got {x.shape}")
     if weight.ndim != 4:
         raise ShapeError(f"{name}: weight must be 4-d, got {weight.shape}")
+    cin, cout = weight.shape[int(not transposed)], weight.shape[int(transposed)]
     if weight.shape[2] != weight.shape[3]:
         raise ShapeError(f"{name}: kernel must be square, got {weight.shape[2:]}")
-    if weight.shape[2] % 2 != 1 and name == "conv2d":
+    if weight.shape[2] % 2 != 1 and not transposed:
         raise ShapeError(f"{name}: kernel size {weight.shape[2]} must be odd")
-    if bias.ndim != 1 or bias.shape[0] != weight.shape[out_axis]:
-        raise ShapeError(f"{name}: bias shape {bias.shape} does not match "
-                         f"{weight.shape[out_axis]} output channels")
-    cin = x.shape[-3]
-    if cin != weight.shape[in_axis]:
-        raise ShapeError(f"{name}: input has {cin} channels, weight expects "
-                         f"{weight.shape[in_axis]}")
-    if stride < 1:
-        raise ShapeError(f"{name}: stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ShapeError(f"{name}: padding must be >= 0, got {pad}")
+    if bias.ndim != 1 or bias.shape[0] != cout:
+        raise ShapeError(f"{name}: bias shape {bias.shape} does not match {cout} output channels")
+    if x.shape[-3] != cin:
+        raise ShapeError(f"{name}: input has {x.shape[-3]} channels, weight expects {cin}")
+    if stride < 1 or pad < 0:
+        raise ShapeError(f"{name}: need stride >= 1 and padding >= 0, got {stride}, {pad}")
+    xd = x.data.reshape((-1,) + x.shape[-3:])
+    h, w, k = xd.shape[2], xd.shape[3], weight.shape[2]
+    oh, ow = (((h - 1) * stride - 2 * pad + k, (w - 1) * stride - 2 * pad + k) if transposed
+              else ((h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1))
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"{name}: output size ({oh}, {ow}) is empty for input ({h}, {w}), "
+                         f"kernel {k}, stride {stride}, padding {pad}")
+    xb = None if transposed else _phases(xd, stride, k, pad)
+    y = (_corr_adj(xd, weight.data, stride, pad, oh, ow, batch=False) if transposed
+         else _corr(xb, weight.data, oh, ow, batch=False)) + bias.data[None, :, None, None]
+
+    def vjp(g):
+        g = g.reshape(y.shape)
+        # the correlation runs from `parts` to `out`: x to y, or g to x if transposed
+        parts, out = (_phases(g, stride, k, pad), xd) if transposed else (xb, g)
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = (_corr(parts, weight.data, h, w, batch=True) if transposed
+                  else _corr_adj(g, weight.data, stride, pad, h, w, batch=True))
+            gx = gx.reshape(x.shape)
+        if weight.requires_grad:
+            gw = _corr_wgrad(parts, out, k)
+        if bias.requires_grad:
+            gb = g.sum(axis=(0, 2, 3))
+        return gx, gw, gb
+
+    return _record(y if x.ndim == 4 else y[0], (x, weight, bias), vjp)
 
 
 def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
@@ -390,40 +476,7 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
 
     x [C_in,H,W] or [N,C_in,H,W]; weight [C_out,C_in,k,k]; bias [C_out].
     """
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    _check_conv_args(x, weight, bias, stride, pad, "conv2d", in_axis=1, out_axis=0)
-    batched = x.ndim == 4
-    xd = x.data if batched else x.data[None]
-    n, cin, h, w = xd.shape
-    cout, _, k, _ = weight.shape
-    if h + 2 * pad < k or w + 2 * pad < k:
-        raise ShapeError(f"conv2d: padded input ({h + 2 * pad}, {w + 2 * pad}) "
-                         f"smaller than kernel {k}")
-    oh, ow = _conv_out(h, k, stride, pad), _conv_out(w, k, stride, pad)
-
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, k, stride, oh, ow)                    # [N, Cin*k*k, L]
-    w2 = weight.data.reshape(cout, cin * k * k)
-    y = np.matmul(w2, cols).reshape(n, cout, oh, ow) + bias.data[None, :, None, None]
-
-    def vjp(g):
-        if not batched:
-            g = g[None] if g.ndim == 3 else g
-        gf = g.reshape(n, cout, oh * ow)
-        gx = gw = gb = None
-        if x.requires_grad:
-            gcols = np.matmul(w2.T, gf)
-            gx = _col2im(gcols, k, stride, pad, h, w, oh, ow)
-            if not batched:
-                gx = gx[0]
-        if weight.requires_grad:
-            gw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0)
-            gw = gw.reshape(cout, cin, k, k)
-        if bias.requires_grad:
-            gb = gf.sum(axis=(0, 2))
-        return gx, gw, gb
-
-    return _record(y if batched else y[0], (x, weight, bias), vjp)
+    return _conv(x, weight, bias, stride, pad, transposed=False)
 
 
 def conv_transpose2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
@@ -432,38 +485,4 @@ def conv_transpose2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     x [C_in,H,W] or [N,C_in,H,W]; weight [C_in,C_out,k,k]; bias [C_out].
     Output spatial size is (H-1)*stride - 2*pad + k.
     """
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    _check_conv_args(x, weight, bias, stride, pad, "conv_transpose2d",
-                     in_axis=0, out_axis=1)
-    batched = x.ndim == 4
-    xd = x.data if batched else x.data[None]
-    n, cin, h, w = xd.shape
-    _, cout, k, _ = weight.shape
-    oh = (h - 1) * stride - 2 * pad + k
-    ow = (w - 1) * stride - 2 * pad + k
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"conv_transpose2d: output size ({oh}, {ow}) is empty")
-
-    w2 = weight.data.reshape(cin, cout * k * k)
-    xf = xd.reshape(n, cin, h * w)
-    ycols = np.matmul(w2.T, xf)                              # [N, Cout*k*k, h*w]
-    y = _col2im(ycols, k, stride, pad, oh, ow, h, w) + bias.data[None, :, None, None]
-
-    def vjp(g):
-        if not batched:
-            g = g[None] if g.ndim == 3 else g
-        gp = np.pad(g, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        gcols = _im2col(gp, k, stride, h, w)                 # [N, Cout*k*k, h*w]
-        gx = gw = gb = None
-        if x.requires_grad:
-            gx = np.matmul(w2, gcols).reshape(n, cin, h, w)
-            if not batched:
-                gx = gx[0]
-        if weight.requires_grad:
-            gw = np.matmul(xf, gcols.transpose(0, 2, 1)).sum(axis=0)
-            gw = gw.reshape(cin, cout, k, k)
-        if bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
-        return gx, gw, gb
-
-    return _record(y if batched else y[0], (x, weight, bias), vjp)
+    return _conv(x, weight, bias, stride, pad, transposed=True)

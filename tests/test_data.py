@@ -1,5 +1,7 @@
 """Phantom generation, preprocessing, and binary round-trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,25 @@ class TestBinaryRoundTrips:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version"):
             D.read_video(path)
+
+    def _checkpoint_with(self, tmp_path, name: bytes, dims: tuple[int, ...]):
+        blob = b"FCKP" + struct.pack("<II", D.FORMAT_VERSION, 1)
+        blob += struct.pack("<I", len(name)) + name
+        blob += struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+        path = tmp_path / "bad.fckp"
+        path.write_bytes(blob + bytes(64))
+        return path
+
+    def test_checkpoint_invalid_utf8_name_reports_offset(self, tmp_path):
+        path = self._checkpoint_with(tmp_path, b"enc\xff.weight", (1,))
+        # header 12 bytes, name length 4, then the name: 0xff is its 4th byte
+        with pytest.raises(FormatError, match="UTF-8 at byte offset 19"):
+            D.read_checkpoint(path)
+
+    def test_checkpoint_overflowing_dims_report_offset(self, tmp_path):
+        path = self._checkpoint_with(tmp_path, b"w", (2 ** 32 - 1,) * 4)
+        with pytest.raises(FormatError, match="byte offset"):
+            D.read_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         _, masks, _ = D.generate_phantom(PhantomParams(seed=17))

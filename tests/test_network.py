@@ -92,15 +92,17 @@ class TestForward:
         assert flow_b.vx.shape == (5, 16, 16)
 
     def test_batch_matches_per_pair(self):
-        rng = np.random.default_rng(5)
-        params = N.init_params(SMALL, seed=2)
-        src = rand_frames(rng, SMALL, 3)
-        ref = rand_frames(rng, SMALL, 3)
-        joint = N.predict_flow(SMALL, params, src, ref)
-        for i in range(3):
-            one = N.predict_flow(SMALL, params, src[i], ref[i])
-            assert np.array_equal(joint.vx.data[i], one.vx.data)
-            assert np.array_equal(joint.vy.data[i], one.vy.data)
+        # bitwise: evaluation runs single pairs, adaptation 24-pair batches
+        for cfg, n in ((SMALL, 3), (NetConfig(), 24)):
+            rng = np.random.default_rng(5)
+            params = N.init_params(cfg, seed=2)
+            src = rand_frames(rng, cfg, n)
+            ref = rand_frames(rng, cfg, n)
+            joint = N.predict_flow(cfg, params, src, ref)
+            for i in sorted({0, 1, 2, n - 1}):
+                one = N.predict_flow(cfg, params, src[i], ref[i])
+                assert np.array_equal(joint.vx.data[i], one.vx.data)
+                assert np.array_equal(joint.vy.data[i], one.vy.data)
 
     def test_argument_order_matters(self):
         rng = np.random.default_rng(6)

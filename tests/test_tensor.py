@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from foal import tensor as T
 from foal.tensor import Tensor
@@ -390,3 +390,105 @@ class TestDeterminism:
         gx2, gw2 = run()
         assert np.array_equal(gx1, gx2)
         assert np.array_equal(gw1, gw2)
+
+
+def conv2d_vjp_oracle(x, w, v, stride, pad):
+    """Loop gradients of <conv2d(x, w), v> in x and w."""
+    cout, cin, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for co in range(cout):
+        for i in range(v.shape[1]):
+            for j in range(v.shape[2]):
+                win = (slice(None), slice(i * stride, i * stride + k),
+                       slice(j * stride, j * stride + k))
+                gxp[win] += v[co, i, j] * w[co]
+                gw[co] += v[co, i, j] * xp[win]
+    return gxp[:, pad:pad + x.shape[1], pad:pad + x.shape[2]], gw
+
+
+class TestConvKernelPaths:
+    """Strides that do not divide the span, kernels that are not a multiple
+    of the stride, and non-square inputs, forward and backward."""
+
+    @pytest.mark.parametrize("cin,cout,h,w,k,stride,pad", [
+        (2, 3, 8, 8, 3, 3, 0),
+        (3, 2, 7, 10, 3, 2, 1),
+        (2, 2, 5, 9, 3, 1, 1),
+        (1, 4, 11, 6, 5, 3, 2),
+    ])
+    def test_conv2d_forward_and_vjp_match_loops(self, cin, cout, h, w, k, stride, pad):
+        rng = np.random.default_rng(21)
+        x0, w0, b0 = rng.normal(size=(cin, h, w)), rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout)
+        x, wt, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        y = T.conv2d(x, wt, b, stride, pad)
+        assert np.allclose(y.data, conv2d_oracle(x0, w0, b0, stride, pad), atol=1e-12)
+        v = rng.normal(size=y.shape)
+        T.total(T.mul(y, Tensor(v))).backward()
+        gx, gw = conv2d_vjp_oracle(x0, w0, v, stride, pad)
+        assert np.allclose(x.grad, gx, atol=1e-12)
+        assert np.allclose(wt.grad, gw, atol=1e-12)
+        assert np.allclose(b.grad, v.sum(axis=(1, 2)), atol=1e-12)
+
+    @pytest.mark.parametrize("cin,cout,h,w,k,stride,pad", [
+        (2, 3, 4, 4, 3, 2, 1),
+        (2, 1, 3, 3, 5, 3, 2),
+        (3, 2, 3, 5, 3, 2, 0),
+        (1, 2, 4, 2, 5, 3, 1),
+        (2, 2, 5, 3, 2, 3, 0),
+    ])
+    def test_conv_transpose2d_forward_and_vjp_match_loops(self, cin, cout, h, w, k, stride, pad):
+        rng = np.random.default_rng(22)
+        x0, w0, b0 = rng.normal(size=(cin, h, w)), rng.normal(size=(cin, cout, k, k)), rng.normal(size=cout)
+        x, wt, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        y = T.conv_transpose2d(x, wt, b, stride, pad)
+        assert np.allclose(y.data, conv_transpose2d_oracle(x0, w0, b0, stride, pad), atol=1e-12)
+        v = rng.normal(size=y.shape)
+        T.total(T.mul(y, Tensor(v))).backward()
+        # <convT(x, w), v> = <x, conv2d(v, w)>, so the conv2d loops give both gradients
+        assert np.allclose(x.grad, conv2d_oracle(v, w0, np.zeros(cin), stride, pad), atol=1e-12)
+        _, gw = conv2d_vjp_oracle(v, w0, x0, stride, pad)
+        assert np.allclose(wt.grad, gw, atol=1e-12)
+        assert np.allclose(b.grad, v.sum(axis=(1, 2)), atol=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_geometry_matches_loops(self, data):
+        transposed = data.draw(st.booleans())
+        stride, pad = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        k = data.draw(st.integers(1, 5) if transposed else st.sampled_from([1, 3, 5]))
+        h, w = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        cin, cout = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+        x0 = rng.normal(size=(cin, h, w))
+        w0 = rng.normal(size=(cin, cout, k, k) if transposed else (cout, cin, k, k))
+        if transposed:
+            assume((h - 1) * stride - 2 * pad + k >= 1 and (w - 1) * stride - 2 * pad + k >= 1)
+            want = conv_transpose2d_oracle(x0, w0, np.zeros(cout), stride, pad)
+        else:
+            assume(h + 2 * pad >= k and w + 2 * pad >= k)
+            want = conv2d_oracle(x0, w0, np.zeros(cout), stride, pad)
+        x, wt = Tensor(x0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+        op = T.conv_transpose2d if transposed else T.conv2d
+        y = op(x, wt, Tensor(np.zeros(cout)), stride, pad)
+        assert np.allclose(y.data, want, atol=1e-12)
+        v = rng.normal(size=y.shape)
+        T.total(T.mul(y, Tensor(v))).backward()
+        if transposed:
+            gx = conv2d_oracle(v, w0, np.zeros(cin), stride, pad)
+            _, gw = conv2d_vjp_oracle(v, w0, x0, stride, pad)
+        else:
+            gx, gw = conv2d_vjp_oracle(x0, w0, v, stride, pad)
+        assert np.allclose(x.grad, gx, atol=1e-12)
+        assert np.allclose(wt.grad, gw, atol=1e-12)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_batched_non_square_equals_per_sample(self, transposed):
+        rng = np.random.default_rng(23)
+        xs = rng.normal(size=(5, 3, 6, 9))
+        w = rng.normal(size=(3, 4, 3, 3) if transposed else (4, 3, 3, 3))
+        op = T.conv_transpose2d if transposed else T.conv2d
+        joint = op(Tensor(xs), Tensor(w), Tensor(np.zeros(4)), 2, 1).data
+        for n in range(5):
+            single = op(Tensor(xs[n]), Tensor(w), Tensor(np.zeros(4)), 2, 1).data
+            assert np.array_equal(joint[n], single)
