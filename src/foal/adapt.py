@@ -105,10 +105,7 @@ def batch_loss(cfg: NetConfig, params: ParamSet, video: Video,
                pairs: Sequence[tuple[int, int]],
                weights: LossWeights) -> tuple[Tensor, LossReport]:
     """Three-term loss over a stack of frame pairs from one video."""
-    frames = video.frames.astype(np.float64)
-    src = frames[[a for a, _ in pairs]]
-    ref = frames[[b for _, b in pairs]]
-    return L.loss_total(cfg, params, src, ref, weights)
+    return L.loss_total(cfg, params, video.frames, pairs, weights)
 
 
 def online_adapt(cfg: NetConfig, base: ParamSet, video: Video,

@@ -50,6 +50,10 @@ class Video:
             raise ValueError(f"frames must be [T,H,W], got {self.frames.shape}")
         if self.frames.shape[0] < 2:
             raise ValueError(f"a video needs >= 2 frames, got {self.frames.shape[0]}")
+        bad = np.argwhere(~np.isfinite(self.frames))
+        if len(bad):
+            raise ValueError(f"frames must be finite; {len(bad)} values are not, "
+                             f"the first at [t, y, x] = {bad[0].tolist()}")
         sx, sy = self.pixel_spacing_mm
         if sx <= 0 or sy <= 0:
             raise ValueError(f"pixel spacing must be positive, got {self.pixel_spacing_mm}")
@@ -279,8 +283,12 @@ def read_video(path) -> Video:
     cur.expect_magic(b"FVID")
     t, h, w = cur.u32(), cur.u32(), cur.u32()
     sx, sy = cur.f64(), cur.f64()
+    at = cur.pos
     data = np.frombuffer(cur.take(4 * t * h * w), dtype="<f4").reshape(t, h, w)
     cur.done()
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise FormatError(f"{path}: non-finite frame value at byte offset {at + 4 * bad[0]}")
     return Video(data.copy(), (sx, sy), video_id=Path(path).stem)
 
 

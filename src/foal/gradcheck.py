@@ -122,6 +122,10 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
                           lambda x: T.total(T.square(T.slice_hw(
                               T.concat_channels([x, x]), 1, 3, 0, 2))),
                           rng.normal(size=(2, 4, 4))))
+    # row gather with a repeated and an unused row
+    results.append(_check("take",
+                          lambda x: T.total(T.square(T.take(x, [2, 0, 2, 2]))),
+                          np.linspace(-1.0, 1.0, 12).reshape(4, 3)))
 
     # conv2d, all three arguments, at stride 2 (encoder) and 1 (fuse, head)
     cx = rng.normal(size=(2, 6, 6))
@@ -204,8 +208,9 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     else:
         raise RuntimeError("could not find an off-lattice flow configuration")
     weights = LossWeights()
+    frames, pairs = np.stack([src, ref]), [(0, 1)]
 
-    tot, _ = L.loss_total(cfg, params, src, ref, weights)
+    tot, _ = L.loss_total(cfg, params, frames, pairs, weights)
     tot.backward()
     arrays = params.to_arrays()
     worst = 0.0
@@ -215,7 +220,7 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
             trial[name] = arr
             with T.no_grad():
                 t, _ = L.loss_total(cfg, ParamSet.from_arrays(trial),
-                                    src, ref, weights)
+                                    frames, pairs, weights)
                 return t.item()
 
         err = max_rel_err(params[name].grad,

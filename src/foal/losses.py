@@ -53,20 +53,19 @@ def bilinear_gather(image: np.ndarray, sx: np.ndarray, sy: np.ndarray):
     y0 = np.floor(cy).astype(np.int64)
     np.clip(x0, 0, max(w - 2, 0), out=x0)
     np.clip(y0, 0, max(h - 2, 0), out=y0)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
     wx = cx - x0
     wy = cy - y0
 
-    ni = np.broadcast_to(np.arange(n)[:, None, None], sx.shape)
-    i00 = image[ni, y0, x0]
-    i01 = image[ni, y0, x1]
-    i10 = image[ni, y1, x0]
-    i11 = image[ni, y1, x1]
+    # flat index of each top-left corner; the other three are fixed offsets
+    k00 = (np.arange(n)[:, None, None] * h + y0) * w + x0
+    dx, dy = int(w > 1), w * int(h > 1)
+    corners = (k00, k00 + dx, k00 + dy, k00 + dy + dx)
+    flat = image.ravel()
+    i00, i01, i10, i11 = (np.take(flat, k) for k in corners)
     top = i00 * (1.0 - wx) + i01 * wx
     bot = i10 * (1.0 - wx) + i11 * wx
     out = top * (1.0 - wy) + bot * wy
-    cache = (x0, x1, y0, y1, wx, wy, i00, i01, i10, i11, ni)
+    cache = (corners, wx, wy, i00, i01, i10, i11)
     return out, cache
 
 
@@ -97,7 +96,7 @@ def warp_image(image, flow: MotionField) -> Tensor:
     sy = (vy.data if batched else vy.data[None]) + gy
 
     out, cache = bilinear_gather(idata, sx, sy)
-    x0, x1, y0, y1, wx, wy, i00, i01, i10, i11, ni = cache
+    corners, wx, wy, i00, i01, i10, i11 = cache
     in_x = (sx >= 0.0) & (sx <= w - 1.0)
     in_y = (sy >= 0.0) & (sy <= h - 1.0)
 
@@ -106,13 +105,9 @@ def warp_image(image, flow: MotionField) -> Tensor:
         g_img = g_vx = g_vy = None
         if img.requires_grad:
             flat = np.zeros(n * h * w)
-            base = (ni * h) * w
-            for ys, xs, ww in ((y0, x0, (1 - wx) * (1 - wy)),
-                               (y0, x1, wx * (1 - wy)),
-                               (y1, x0, (1 - wx) * wy),
-                               (y1, x1, wx * wy)):
-                idx = (base + ys * w + xs).ravel()
-                flat += np.bincount(idx, weights=(g3 * ww).ravel(),
+            for k, ww in zip(corners, ((1 - wx) * (1 - wy), wx * (1 - wy),
+                                       (1 - wx) * wy, wx * wy)):
+                flat += np.bincount(k.ravel(), weights=(g3 * ww).ravel(),
                                     minlength=n * h * w)
             g_img = flat.reshape(n, h, w)
             if not batched:
@@ -183,15 +178,25 @@ def loss_consistency(fwd: MotionField, bwd: MotionField) -> Tensor:
                               _cycle_residual(bwd, fwd)), 0.5)
 
 
-def loss_total(cfg: NetConfig, params: ParamSet, source, reference,
+def loss_total(cfg: NetConfig, params: ParamSet, frames, pairs,
                weights: LossWeights = LossWeights()) -> tuple[Tensor, LossReport]:
-    """Bidirectional three-term loss for one frame pair or a [N,H,W] batch.
+    """Bidirectional three-term loss over (source, reference) index `pairs`
+    into a [T,H,W] frame stack.
 
-    Returns the differentiable total plus a float report whose total equals
-    mse + alpha_s*smooth + beta_c*consistency exactly as accumulated.
+    Each frame is encoded once; the 2N pair rows [src; ref] and [ref; src]
+    are gathered from those features and decoded in one batch into the
+    forward and backward fields. Returns the differentiable total plus a
+    float report whose total equals mse + alpha_s*smooth +
+    beta_c*consistency exactly as accumulated.
     """
-    fwd = N.predict_flow(cfg, params, source, reference)
-    bwd = N.predict_flow(cfg, params, reference, source)
+    frames = np.asarray(frames, dtype=np.float64)
+    src, ref = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    feat = N.encode(cfg, params, frames)
+    flow = N.decode(cfg, params, T.take(feat, np.concatenate([src, ref])),
+                    T.take(feat, np.concatenate([ref, src])))
+    fwd, bwd = (MotionField(T.take(flow.vx, rows), T.take(flow.vy, rows))
+                for rows in np.split(np.arange(2 * len(src)), 2))
+    source, reference = frames[src], frames[ref]
 
     mse = T.scalar_mul(T.add(loss_mse(warp_image(source, fwd), reference),
                              loss_mse(warp_image(reference, bwd), source)), 0.5)

@@ -1,10 +1,13 @@
 """Siamese encoder-decoder that maps a frame pair to a dense motion field.
 
-Both frames pass through one shared encoder (strided 3x3 convs). The two
-feature stacks are concatenated at the bottleneck, fused, and upsampled back
-to input resolution by strided transposed convs. The head emits two channels:
-horizontal displacement vx (+x right) and vertical vy (+y down), in pixels,
-describing where each target-frame pixel samples from in the source frame.
+`encode` runs frames through one shared encoder (strided 3x3 convs), one
+feature row per frame. `decode` concatenates a source and a reference feature
+stack at the bottleneck, fuses them, and upsamples back to input resolution
+by strided transposed convs. The head emits two channels: horizontal
+displacement vx (+x right) and vertical vy (+y down), in pixels, describing
+where each target-frame pixel samples from in the source frame.
+`predict_flow` is decode(encode(source), encode(reference)); a loss over many
+pairs of one video encodes each frame once and gathers the rows it needs.
 """
 
 from __future__ import annotations
@@ -171,8 +174,16 @@ def init_params(cfg: NetConfig, seed: int) -> ParamSet:
     return ParamSet(tensors)
 
 
-def _encode(cfg: NetConfig, params: ParamSet, x: Tensor) -> Tensor:
-    h = x
+def encode(cfg: NetConfig, params: ParamSet, frames) -> Tensor:
+    """Shared encoder: [T,H,W] frames (or one [H,W]) -> bottleneck features
+    [T,C,h,w]. Each row depends on its own frame only."""
+    h = T._as_tensor(frames)
+    if h.ndim not in (2, 3):
+        raise ShapeError(f"frames must be [H,W] or [N,H,W], got {h.shape}")
+    if h.shape[-2:] != tuple(cfg.input_size):
+        raise ShapeError(f"frames spatial size {h.shape[-2:]} does not match "
+                         f"configured input_size {tuple(cfg.input_size)}")
+    h = T.reshape(h, (h.shape[0] if h.ndim == 3 else 1, 1) + h.shape[-2:])
     for i in range(1, cfg.depth + 1):
         h = T.conv2d(h, params[f"enc{i}.weight"], params[f"enc{i}.bias"],
                      stride=2, pad=cfg.kernel // 2)
@@ -180,21 +191,20 @@ def _encode(cfg: NetConfig, params: ParamSet, x: Tensor) -> Tensor:
     return h
 
 
-def _as_frames(x, cfg: NetConfig, role: str) -> tuple[Tensor, bool]:
-    """Coerce [H,W] or [N,H,W] input to a [N,1,H,W] tensor."""
-    t = x if isinstance(x, Tensor) else Tensor(x)
-    if t.ndim == 2:
-        batched = False
-        shape = (1, 1) + t.shape
-    elif t.ndim == 3:
-        batched = True
-        shape = (t.shape[0], 1) + t.shape[1:]
-    else:
-        raise ShapeError(f"{role} must be [H,W] or [N,H,W], got {t.shape}")
-    if shape[-2:] != tuple(cfg.input_size):
-        raise ShapeError(f"{role} spatial size {shape[-2:]} does not match "
-                         f"configured input_size {tuple(cfg.input_size)}")
-    return T.reshape(t, shape), batched
+def decode(cfg: NetConfig, params: ParamSet, feat_src: Tensor,
+           feat_ref: Tensor) -> MotionField:
+    """Fuse row-aligned source and reference features [N,C,h,w] into a
+    [N,H,W] motion field."""
+    h = T.concat_channels([feat_src, feat_ref])
+    h = T.leaky_relu(T.conv2d(h, params["fuse.weight"], params["fuse.bias"],
+                              stride=1, pad=cfg.kernel // 2), cfg.leaky_slope)
+    for i in range(1, cfg.depth + 1):
+        h = T.conv_transpose2d(h, params[f"up{i}.weight"], params[f"up{i}.bias"],
+                               stride=2, pad=cfg.up_kernel // 2 - 1)
+        h = T.leaky_relu(h, cfg.leaky_slope)
+    out = T.conv2d(h, params["head.weight"], params["head.bias"],
+                   stride=1, pad=cfg.kernel // 2)
+    return MotionField(T.take_channel(out, 0), T.take_channel(out, 1))
 
 
 def predict_flow(cfg: NetConfig, params: ParamSet, source, reference) -> MotionField:
@@ -204,27 +214,9 @@ def predict_flow(cfg: NetConfig, params: ParamSet, source, reference) -> MotionF
     live through all layers, so backward from any loss on the output reaches
     every parameter (each encoder weight accumulates from both frames).
     """
-    s, batched = _as_frames(source, cfg, "source")
-    r, _ = _as_frames(reference, cfg, "reference")
-    if s.shape != r.shape:
-        raise ShapeError(f"source batch {s.shape} != reference batch {r.shape}")
-
-    fs = _encode(cfg, params, s)
-    fr = _encode(cfg, params, r)
-    h = T.concat_channels([fs, fr])
-    h = T.leaky_relu(T.conv2d(h, params["fuse.weight"], params["fuse.bias"],
-                              stride=1, pad=cfg.kernel // 2), cfg.leaky_slope)
-    n_up = cfg.depth
-    for i in range(1, n_up + 1):
-        h = T.conv_transpose2d(h, params[f"up{i}.weight"], params[f"up{i}.bias"],
-                               stride=2, pad=cfg.up_kernel // 2 - 1)
-        h = T.leaky_relu(h, cfg.leaky_slope)
-    out = T.conv2d(h, params["head.weight"], params["head.bias"],
-                   stride=1, pad=cfg.kernel // 2)
-
-    vx = T.take_channel(out, 0)
-    vy = T.take_channel(out, 1)
-    if not batched:
-        vx = T.reshape(vx, vx.shape[1:])
-        vy = T.reshape(vy, vy.shape[1:])
-    return MotionField(vx, vy)
+    flow = decode(cfg, params, encode(cfg, params, source),
+                  encode(cfg, params, reference))
+    if T._as_tensor(source).ndim == 3:
+        return flow
+    return MotionField(T.reshape(flow.vx, flow.vx.shape[1:]),
+                       T.reshape(flow.vy, flow.vy.shape[1:]))

@@ -307,6 +307,25 @@ def take_channel(a, index: int) -> Tensor:
     return _record(a.data[..., index, :, :].copy(), (a,), vjp)
 
 
+def take(a, index) -> Tensor:
+    """Gather rows of the leading axis, out[i] = a[index[i]]. Rows may repeat
+    or go unused; the vjp scatter-adds the gradient rows back in order."""
+    a = _as_tensor(a)
+    index = np.asarray(index, dtype=np.int64)
+    if a.ndim < 1 or index.ndim != 1:
+        raise ShapeError(f"take: need a 1-d index into rows, got {index.shape} into {a.shape}")
+    bad = index[(index < 0) | (index >= len(a.data))]
+    if bad.size:
+        raise ShapeError(f"take: row {bad[0]} outside the {len(a.data)} rows of {a.shape}")
+
+    def vjp(g):
+        out = np.zeros(a.shape)
+        np.add.at(out, index, g)
+        return (out,)
+
+    return _record(a.data[index], (a,), vjp)
+
+
 def slice_hw(a, h0: int, h1: int, w0: int, w1: int) -> Tensor:
     """Slice the trailing two (height, width) axes."""
     a = _as_tensor(a)

@@ -122,6 +122,17 @@ class TestPhantomGeometry:
         assert left < 1.0 < right
 
 
+class TestVideo:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e300])
+    def test_non_finite_frames_rejected(self, bad):
+        # 1e300 is finite in float64 but overflows the float32 frame store
+        frames = np.zeros((3, 4, 5))
+        frames[2, 1, 3] = bad
+        with pytest.raises(ValueError, match=r"finite.*\[2, 1, 3\]"):
+            D.Video(frames)
+
+
 class TestPreprocess:
     def test_rescales_to_full_range(self):
         frames = np.stack([np.full((4, 4), 10.0), np.full((4, 4), 30.0)])
@@ -223,6 +234,18 @@ class TestBinaryRoundTrips:
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version"):
+            D.read_video(path)
+
+    def test_non_finite_video_reports_offset_of_first(self, tmp_path):
+        video, _, _ = D.generate_phantom(PhantomParams(seed=18))
+        path = tmp_path / "n.fvid"
+        D.write_video(path, video)
+        blob = bytearray(path.read_bytes())
+        # 36 header bytes, then f32 pixels: [1, 2, 3] is pixel 1091, [5, 0, 0] pixel 5120
+        blob[36 + 4 * 5120:36 + 4 * 5121] = struct.pack("<f", np.inf)
+        blob[36 + 4 * 1091:36 + 4 * 1092] = struct.pack("<f", np.nan)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-finite frame value at byte offset 4400"):
             D.read_video(path)
 
     def _checkpoint_with(self, tmp_path, name: bytes, dims: tuple[int, ...]):

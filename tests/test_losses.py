@@ -210,6 +210,27 @@ class TestConsistency:
         assert rel_err(a.vx.grad, finite_diff(f, ax0.copy())) < 1e-4
 
 
+def pair_loss(cfg, params, src, ref, weights=LossWeights()):
+    """loss_total on pairs (i, N + i) of the stacked [src; ref] frames."""
+    frames = np.concatenate([np.reshape(x, (-1, *cfg.input_size)) for x in (src, ref)])
+    n = len(frames) // 2
+    return L.loss_total(cfg, params, frames, [(i, n + i) for i in range(n)], weights)
+
+
+def two_flow_loss(cfg, params, frames, pairs, w):
+    """The loss as two predict_flow calls, each encoding both frame stacks."""
+    src = frames[[a for a, _ in pairs]]
+    ref = frames[[b for _, b in pairs]]
+    fwd = N.predict_flow(cfg, params, src, ref)
+    bwd = N.predict_flow(cfg, params, ref, src)
+    mse = T.scalar_mul(T.add(L.loss_mse(L.warp_image(src, fwd), ref),
+                             L.loss_mse(L.warp_image(ref, bwd), src)), 0.5)
+    smooth = T.scalar_mul(T.add(L.loss_smooth(fwd), L.loss_smooth(bwd)), 0.5)
+    con = L.loss_consistency(fwd, bwd)
+    return T.add(T.add(mse, T.scalar_mul(smooth, w.alpha_s)),
+                 T.scalar_mul(con, w.beta_c))
+
+
 class TestTotal:
     CFG = NetConfig(input_size=(16, 16), encoder_channels=(4, 8))
 
@@ -219,7 +240,7 @@ class TestTotal:
         src = rng.uniform(0, 255, self.CFG.input_size)
         ref = rng.uniform(0, 255, self.CFG.input_size)
         w = LossWeights(alpha_s=5e-5, beta_c=1e-6)
-        tot, rep = L.loss_total(self.CFG, params, src, ref, w)
+        tot, rep = pair_loss(self.CFG, params, src, ref, w)
         assert isinstance(rep, LossReport)
         assert abs(rep.total - (rep.mse + w.alpha_s * rep.smooth
                                 + w.beta_c * rep.consistency)) < 1e-12
@@ -230,8 +251,8 @@ class TestTotal:
         params = N.init_params(self.CFG, seed=2)
         src = rng.uniform(0, 255, self.CFG.input_size)
         ref = rng.uniform(0, 255, self.CFG.input_size)
-        t1, r1 = L.loss_total(self.CFG, params, src, ref)
-        t2, r2 = L.loss_total(self.CFG, params, ref, src)
+        t1, r1 = pair_loss(self.CFG, params, src, ref)
+        t2, r2 = pair_loss(self.CFG, params, ref, src)
         assert abs(r1.total - r2.total) < 1e-12
         assert r1.mse == pytest.approx(r2.mse, abs=1e-15)
 
@@ -242,7 +263,7 @@ class TestTotal:
         rng = np.random.default_rng(14)
         src = rng.uniform(0, 255, self.CFG.input_size)
         ref = rng.uniform(0, 255, self.CFG.input_size)
-        _, rep = L.loss_total(self.CFG, zeroed, src, ref)
+        _, rep = pair_loss(self.CFG, zeroed, src, ref)
         assert rep.smooth == 0.0
         assert rep.consistency == 0.0
         assert rep.total == pytest.approx(((src - ref) ** 2).mean(), rel=1e-13)
@@ -253,7 +274,7 @@ class TestTotal:
         # tiny random flow stays small relative to frame scale
         params = N.init_params(self.CFG, seed=4)
         img = np.random.default_rng(15).uniform(0, 255, self.CFG.input_size)
-        _, rep = L.loss_total(self.CFG, params, img, img.copy())
+        _, rep = pair_loss(self.CFG, params, img, img.copy())
         assert rep.total < ((img - img.mean()) ** 2).mean()
 
     def test_gradient_through_total_finite_difference(self):
@@ -268,7 +289,7 @@ class TestTotal:
         ref = rng.uniform(0, 255, cfg.input_size)
         w = LossWeights()
 
-        tot, _ = L.loss_total(cfg, params, src, ref, w)
+        tot, _ = pair_loss(cfg, params, src, ref, w)
         tot.backward()
         arrays = params.to_arrays()
         for name in ("enc1.weight", "head.bias"):
@@ -276,8 +297,8 @@ class TestTotal:
                 trial = {k: v.copy() for k, v in arrays.items()}
                 trial[name] = arr
                 with T.no_grad():
-                    t, _ = L.loss_total(cfg, N.ParamSet.from_arrays(trial),
-                                        src, ref, w)
+                    t, _ = pair_loss(cfg, N.ParamSet.from_arrays(trial),
+                                     src, ref, w)
                     return t.item()
 
             fd = finite_diff(f, arrays[name].copy(), h=1e-4)
@@ -288,7 +309,42 @@ class TestTotal:
         params = N.init_params(self.CFG, seed=6)
         src = rng.uniform(0, 255, (4, *self.CFG.input_size))
         ref = rng.uniform(0, 255, (4, *self.CFG.input_size))
-        _, joint = L.loss_total(self.CFG, params, src, ref)
-        singles = [L.loss_total(self.CFG, params, src[i], ref[i])[1].total
+        _, joint = pair_loss(self.CFG, params, src, ref)
+        singles = [pair_loss(self.CFG, params, src[i], ref[i])[1].total
                    for i in range(4)]
         assert joint.total == pytest.approx(np.mean(singles), rel=1e-12)
+
+    # frames 4 and 5 are in no pair, frame 1 is in four, and (0, 1) comes twice
+    PAIRS = [(0, 1), (1, 2), (3, 1), (1, 0), (2, 3), (0, 1)]
+
+    def test_matches_two_predict_flow_formula(self):
+        rng = np.random.default_rng(18)
+        frames = rng.uniform(0, 255, (6, *self.CFG.input_size))
+        params = N.init_params(self.CFG, seed=7)
+        params["head.bias"].data[:] = (0.37, -0.29)
+        twin = params.clone()
+        w = LossWeights(alpha_s=0.1, beta_c=0.05)
+        tot, _ = L.loss_total(self.CFG, params, frames, self.PAIRS, w)
+        tot.backward()
+        want = two_flow_loss(self.CFG, twin, frames, self.PAIRS, w)
+        want.backward()
+        assert abs(tot.item() - want.item()) <= 1e-12 * abs(want.item())
+        for name in params.names():
+            g, g0 = params[name].grad, twin[name].grad
+            assert np.max(np.abs(g - g0)) <= 1e-12 * np.max(np.abs(g0)), name
+
+    def test_each_frame_encoded_once(self, monkeypatch):
+        params = N.init_params(self.CFG, seed=8)
+        rows = []
+        conv2d = T.conv2d
+
+        def spy(x, weight, *args, **kwargs):
+            if weight is params["enc1.weight"]:
+                rows.append(x.shape[0])
+            return conv2d(x, weight, *args, **kwargs)
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        frames = np.random.default_rng(19).uniform(0, 255, (6, *self.CFG.input_size))
+        tot, _ = L.loss_total(self.CFG, params, frames, self.PAIRS)
+        tot.backward()
+        assert rows == [6]

@@ -158,16 +158,14 @@ class TestSharedEncoderGradients:
         # only one branch's encoder ops require grad at a time
         def branch_grads(active_source: bool):
             p = N.init_params(cfg, seed=5)
-            s_t = Tensor(src.reshape(1, 1, *cfg.input_size))
-            r_t = Tensor(ref.reshape(1, 1, *cfg.input_size))
             if active_source:
                 with T.no_grad():
-                    fr = N._encode(cfg, p, r_t)
-                fs = N._encode(cfg, p, s_t)
+                    fr = N.encode(cfg, p, ref)
+                fs = N.encode(cfg, p, src)
             else:
                 with T.no_grad():
-                    fs = N._encode(cfg, p, s_t)
-                fr = N._encode(cfg, p, r_t)
+                    fs = N.encode(cfg, p, src)
+                fr = N.encode(cfg, p, ref)
             h = T.concat_channels([fs, fr])
             h = T.leaky_relu(T.conv2d(h, Tensor(p["fuse.weight"].data),
                                       Tensor(p["fuse.bias"].data), 1, 1),

@@ -100,6 +100,26 @@ class TestElementwise:
         with pytest.raises(T.ShapeError):
             T.slice_hw(a, 0, 4, 0, 2)
 
+    def test_take_matches_loop_oracle(self):
+        # rows 1 and 4 repeat, rows 2 and 5 go unused
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(6, 2, 3, 3)), requires_grad=True)
+        index = [4, 1, 0, 4, 3, 1, 1]
+        g = rng.normal(size=(len(index), 2, 3, 3))
+        out = T.take(a, index)
+        T.total(T.mul(out, Tensor(g))).backward()
+        want = np.zeros(a.shape)
+        for i, row in enumerate(index):
+            assert np.array_equal(out.data[i], a.data[row])
+            want[row] += g[i]
+        assert np.array_equal(a.grad, want)
+
+    def test_take_rejects_bad_index(self):
+        a = Tensor(np.zeros((3, 2)))
+        for index in ([3], [-1], [[0, 1]]):
+            with pytest.raises(T.ShapeError, match="take"):
+                T.take(a, index)
+
 
 class TestBackwardSemantics:
     def test_non_scalar_root_rejected(self):
@@ -306,6 +326,12 @@ class TestGradientsAgainstFiniteDifferences:
         x0 = rng.normal(size=(2, 5))
         x0[np.abs(x0) < 0.05] += 0.2
         self.check(lambda x: T.mean(T.leaky_relu(x, 0.1)), x0)
+
+    def test_take_repeated_and_unused_rows(self):
+        rng = np.random.default_rng(12)
+        w = Tensor(rng.normal(size=(5, 2, 3)))
+        self.check(lambda x: T.total(T.mul(T.square(T.take(x, [3, 0, 3, 1, 3])), w)),
+                   rng.normal(size=(5, 2, 3)))
 
     def test_conv2d_wrt_input(self):
         rng = np.random.default_rng(12)
