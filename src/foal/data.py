@@ -340,7 +340,12 @@ def read_checkpoint(path) -> ParamSet:
         ndim = cur.u32()
         dims = struct.unpack(f"<{ndim}I", cur.take(4 * ndim))
         size = math.prod(dims)  # exact: huge dims fail as truncation below
+        at = cur.pos
         data = np.frombuffer(cur.take(8 * size), dtype="<f8").reshape(dims)
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            raise FormatError(f"{path}: non-finite value in tensor '{name}' at byte "
+                              f"offset {at + 8 * bad[0]}")
         if name in arrays:
             raise FormatError(f"{path}: duplicate tensor name '{name}'")
         arrays[name] = data.copy()

@@ -183,19 +183,21 @@ def loss_total(cfg: NetConfig, params: ParamSet, frames, pairs,
     """Bidirectional three-term loss over (source, reference) index `pairs`
     into a [T,H,W] frame stack.
 
-    Each frame is encoded once; the 2N pair rows [src; ref] and [ref; src]
-    are gathered from those features and decoded in one batch into the
-    forward and backward fields. Returns the differentiable total plus a
-    float report whose total equals mse + alpha_s*smooth +
-    beta_c*consistency exactly as accumulated.
+    Each frame is encoded once. Of the 2N forward and backward rows
+    [src; ref] -> [ref; src], each distinct ordered pair is decoded once and
+    its field gathered back to the rows that use it. Returns the
+    differentiable total plus a float report whose total equals
+    mse + alpha_s*smooth + beta_c*consistency exactly as accumulated.
     """
     frames = np.asarray(frames, dtype=np.float64)
     src, ref = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    grid = (len(frames), len(frames))  # key src * T + ref; an index outside raises
+    keys, inverse = np.unique(np.ravel_multi_index(
+        (np.concatenate([src, ref]), np.concatenate([ref, src])), grid), return_inverse=True)
     feat = N.encode(cfg, params, frames)
-    flow = N.decode(cfg, params, T.take(feat, np.concatenate([src, ref])),
-                    T.take(feat, np.concatenate([ref, src])))
+    flow = N.decode(cfg, params, feat, feat, *np.unravel_index(keys, grid))
     fwd, bwd = (MotionField(T.take(flow.vx, rows), T.take(flow.vy, rows))
-                for rows in np.split(np.arange(2 * len(src)), 2))
+                for rows in np.split(inverse, 2))
     source, reference = frames[src], frames[ref]
 
     mse = T.scalar_mul(T.add(loss_mse(warp_image(source, fwd), reference),

@@ -1,13 +1,14 @@
 """Siamese encoder-decoder that maps a frame pair to a dense motion field.
 
 `encode` runs frames through one shared encoder (strided 3x3 convs), one
-feature row per frame. `decode` concatenates a source and a reference feature
-stack at the bottleneck, fuses them, and upsamples back to input resolution
-by strided transposed convs. The head emits two channels: horizontal
-displacement vx (+x right) and vertical vy (+y down), in pixels, describing
-where each target-frame pixel samples from in the source frame.
-`predict_flow` is decode(encode(source), encode(reference)); a loss over many
-pairs of one video encodes each frame once and gathers the rows it needs.
+feature row per frame. `decode` fuses the pairs that index rows pick from a
+source and a reference feature stack, then upsamples back to input resolution
+by strided transposed convs. `fuse` is linear in its input channels, so its
+source half and its reference half each run once per feature row. The head
+emits two channels: horizontal displacement vx (+x right) and vertical vy
+(+y down), in pixels, describing where each target-frame pixel samples from
+in the source frame. `predict_flow` decodes the row-aligned pairs of two
+encoded stacks; a loss over one video decodes each distinct frame pair once.
 """
 
 from __future__ import annotations
@@ -191,13 +192,15 @@ def encode(cfg: NetConfig, params: ParamSet, frames) -> Tensor:
     return h
 
 
-def decode(cfg: NetConfig, params: ParamSet, feat_src: Tensor,
-           feat_ref: Tensor) -> MotionField:
-    """Fuse row-aligned source and reference features [N,C,h,w] into a
-    [N,H,W] motion field."""
-    h = T.concat_channels([feat_src, feat_ref])
-    h = T.leaky_relu(T.conv2d(h, params["fuse.weight"], params["fuse.bias"],
-                              stride=1, pad=cfg.kernel // 2), cfg.leaky_slope)
+def decode(cfg: NetConfig, params: ParamSet, feat_src: Tensor, feat_ref: Tensor,
+           src, ref) -> MotionField:
+    """[N,H,W] motion field of the pairs (feat_src[src[i]], feat_ref[ref[i]])
+    of two [T,C,h,w] feature stacks."""
+    c, k = cfg.encoder_channels[-1], cfg.kernel
+    w = T.reshape(params["fuse.weight"], (2 * c, c, k, k))  # row 2o + h: half h of output o
+    h_src = T.conv2d(feat_src, T.take(w, np.arange(0, 2 * c, 2)), params["fuse.bias"], 1, k // 2)
+    h_ref = T.conv2d(feat_ref, T.take(w, np.arange(1, 2 * c, 2)), np.zeros(c), 1, k // 2)
+    h = T.leaky_relu(T.add(T.take(h_src, src), T.take(h_ref, ref)), cfg.leaky_slope)
     for i in range(1, cfg.depth + 1):
         h = T.conv_transpose2d(h, params[f"up{i}.weight"], params[f"up{i}.bias"],
                                stride=2, pad=cfg.up_kernel // 2 - 1)
@@ -214,8 +217,11 @@ def predict_flow(cfg: NetConfig, params: ParamSet, source, reference) -> MotionF
     live through all layers, so backward from any loss on the output reaches
     every parameter (each encoder weight accumulates from both frames).
     """
-    flow = decode(cfg, params, encode(cfg, params, source),
-                  encode(cfg, params, reference))
+    feat_src, feat_ref = encode(cfg, params, source), encode(cfg, params, reference)
+    if feat_src.shape[0] != feat_ref.shape[0]:
+        raise ShapeError(f"source batch {feat_src.shape[0]} != reference batch {feat_ref.shape[0]}")
+    rows = np.arange(feat_src.shape[0])
+    flow = decode(cfg, params, feat_src, feat_ref, rows, rows)
     if T._as_tensor(source).ndim == 3:
         return flow
     return MotionField(T.reshape(flow.vx, flow.vx.shape[1:]),

@@ -267,6 +267,17 @@ class TestBinaryRoundTrips:
         with pytest.raises(FormatError, match="byte offset"):
             D.read_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_checkpoint_reports_offset_of_first(self, tmp_path, bad):
+        w = np.zeros((2, 3))
+        w[0, 2], w[1, 1] = bad, np.inf
+        path = tmp_path / "n.fckp"
+        D.write_checkpoint(path, N.ParamSet.from_arrays({"a": np.ones(3), "bb.w": w}))
+        # 12 header bytes; "a" takes 4 + 1 + 4 + 4 + 24 = 37; "bb.w" has 20
+        # bytes of name and dims, then [0, 2] is its third f64
+        with pytest.raises(FormatError, match="'bb.w' at byte offset 85"):
+            D.read_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         _, masks, _ = D.generate_phantom(PhantomParams(seed=17))
         path = tmp_path / "m.fmsk"

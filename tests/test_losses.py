@@ -223,6 +223,29 @@ def two_flow_loss(cfg, params, frames, pairs, w):
     ref = frames[[b for _, b in pairs]]
     fwd = N.predict_flow(cfg, params, src, ref)
     bwd = N.predict_flow(cfg, params, ref, src)
+    return loss_terms(fwd, bwd, src, ref, w)
+
+
+def concat_fuse_loss(cfg, params, frames, pairs, w):
+    """The loss decoding all 2N rows, `fuse` one conv over concatenated
+    source and reference features with the full [C, 2C, k, k] weight."""
+    src, ref = np.asarray(pairs).T
+    feat = N.encode(cfg, params, frames)
+    h = T.concat_channels([T.take(feat, np.concatenate([src, ref])),
+                           T.take(feat, np.concatenate([ref, src]))])
+    h = T.leaky_relu(T.conv2d(h, params["fuse.weight"], params["fuse.bias"], 1, 1),
+                     cfg.leaky_slope)
+    for i in range(1, cfg.depth + 1):
+        h = T.leaky_relu(T.conv_transpose2d(h, params[f"up{i}.weight"],
+                                            params[f"up{i}.bias"], 2, 1), cfg.leaky_slope)
+    out = T.conv2d(h, params["head.weight"], params["head.bias"], 1, 1)
+    fwd, bwd = (MotionField(T.take_channel(T.take(out, rows), 0),
+                            T.take_channel(T.take(out, rows), 1))
+                for rows in np.split(np.arange(2 * len(src)), 2))
+    return loss_terms(fwd, bwd, frames[src], frames[ref], w)
+
+
+def loss_terms(fwd, bwd, src, ref, w):
     mse = T.scalar_mul(T.add(L.loss_mse(L.warp_image(src, fwd), ref),
                              L.loss_mse(L.warp_image(ref, bwd), src)), 0.5)
     smooth = T.scalar_mul(T.add(L.loss_smooth(fwd), L.loss_smooth(bwd)), 0.5)
@@ -332,6 +355,72 @@ class TestTotal:
         for name in params.names():
             g, g0 = params[name].grad, twin[name].grad
             assert np.max(np.abs(g - g0)) <= 1e-12 * np.max(np.abs(g0)), name
+
+    def test_matches_concat_fuse_formula(self):
+        rng = np.random.default_rng(20)
+        frames = rng.uniform(0, 255, (6, *self.CFG.input_size))
+        params = N.init_params(self.CFG, seed=9)
+        params["head.bias"].data[:] = (0.37, -0.29)
+        params["fuse.bias"].data[:] = rng.normal(size=params["fuse.bias"].shape)
+        twin = params.clone()
+        w = LossWeights(alpha_s=0.1, beta_c=0.05)
+        tot, _ = L.loss_total(self.CFG, params, frames, self.PAIRS, w)
+        tot.backward()
+        want = concat_fuse_loss(self.CFG, twin, frames, self.PAIRS, w)
+        want.backward()
+        assert abs(tot.item() - want.item()) <= 1e-12 * abs(want.item())
+        for name in params.names():
+            g, g0 = params[name].grad, twin[name].grad
+            assert np.max(np.abs(g - g0)) <= 1e-12 * np.max(np.abs(g0)), name
+
+    def test_decoded_rows_equal_single_pair_predict_flow(self, monkeypatch):
+        params = N.init_params(self.CFG, seed=10)
+        frames = np.random.default_rng(21).uniform(0, 255, (6, *self.CFG.input_size))
+        calls = []
+        decode = N.decode
+
+        def spy(cfg, params, feat_src, feat_ref, src, ref):
+            flow = decode(cfg, params, feat_src, feat_ref, src, ref)
+            calls.append((list(zip(src, ref)), flow))
+            return flow
+
+        monkeypatch.setattr(N, "decode", spy)
+        L.loss_total(self.CFG, params, frames, self.PAIRS)
+        [(rows, flow)] = calls
+        # each distinct ordered pair of the rows [src; ref] -> [ref; src]
+        assert sorted(rows) == sorted({p for a, b in self.PAIRS for p in ((a, b), (b, a))})
+        monkeypatch.undo()
+        for i, (a, b) in enumerate(rows):
+            one = N.predict_flow(self.CFG, params, frames[a], frames[b])
+            assert np.array_equal(flow.vx.data[i], one.vx.data)
+            assert np.array_equal(flow.vy.data[i], one.vy.data)
+
+    def test_fuse_runs_per_frame_and_up1_per_distinct_pair(self, monkeypatch):
+        params = N.init_params(self.CFG, seed=11)
+        names = {id(t): n for n, t in params.items()}
+        rows = {}
+        convs = {"conv2d": T.conv2d, "conv_transpose2d": T.conv_transpose2d}
+
+        def spy(op):
+            def run(x, weight, *args, **kwargs):
+                # the two fuse halves are gathered from fuse.weight, not a parameter
+                rows.setdefault(names.get(id(weight), "fuse"), []).append(x.shape[0])
+                return convs[op](x, weight, *args, **kwargs)
+            return run
+
+        for op in convs:
+            monkeypatch.setattr(T, op, spy(op))
+        frames = np.random.default_rng(22).uniform(0, 255, (6, *self.CFG.input_size))
+        tot, _ = L.loss_total(self.CFG, params, frames, self.PAIRS)
+        tot.backward()
+        assert rows["fuse"] == [6, 6]
+        assert rows["up1.weight"] == [8]
+
+    @pytest.mark.parametrize("pairs", [[(0, 1), (2, 6)], [(1, -1)], [(-1, 6)]])
+    def test_pair_index_outside_frames_rejected(self, pairs):
+        params = N.init_params(self.CFG, seed=12)
+        with pytest.raises(ValueError):
+            L.loss_total(self.CFG, params, np.zeros((6, *self.CFG.input_size)), pairs)
 
     def test_each_frame_encoded_once(self, monkeypatch):
         params = N.init_params(self.CFG, seed=8)

@@ -127,6 +127,13 @@ class TestForward:
         with pytest.raises(T.ShapeError, match="input_size"):
             N.predict_flow(SMALL, params, np.zeros((8, 8)), np.zeros((8, 8)))
 
+    def test_batch_mismatch_rejected(self):
+        rng = np.random.default_rng(12)
+        params = N.init_params(SMALL, seed=0)
+        with pytest.raises(T.ShapeError, match="batch 2 != reference batch 3"):
+            N.predict_flow(SMALL, params, rand_frames(rng, SMALL, 2),
+                           rand_frames(rng, SMALL, 3))
+
     def test_deterministic_forward(self):
         rng = np.random.default_rng(8)
         params = N.init_params(SMALL, seed=4)
