@@ -108,6 +108,21 @@ def batch_loss(cfg: NetConfig, params: ParamSet, video: Video,
     return L.loss_total(cfg, params, video.frames, pairs, weights)
 
 
+def descend(cfg: NetConfig, theta: ParamSet, video: Video,
+            pairs: Sequence[tuple[int, int]], weights: LossWeights,
+            opt: Adam | SGD, steps: int) -> list[LossReport]:
+    """`steps` optimizer updates of theta, in place, on one fixed batch of
+    pairs. Returns the loss report of each step, taken before its update."""
+    reports: list[LossReport] = []
+    for _ in range(steps):
+        theta.zero_grad()
+        loss, rep = batch_loss(cfg, theta, video, pairs, weights)
+        loss.backward()
+        opt.step(theta, theta.grads())
+        reports.append(rep)
+    return reports
+
+
 def online_adapt(cfg: NetConfig, base: ParamSet, video: Video,
                  ocfg: OnlineConfig,
                  weights: LossWeights = LossWeights()
@@ -122,14 +137,7 @@ def online_adapt(cfg: NetConfig, base: ParamSet, video: Video,
     pairs = sample_pairs(video.frame_count, ocfg.pairs, rng)
     opt = (Adam(ocfg.learning_rate) if ocfg.optimizer == "adam"
            else SGD(ocfg.learning_rate))
-    reports: list[LossReport] = []
-    for _ in range(ocfg.steps):
-        theta.zero_grad()
-        loss, rep = batch_loss(cfg, theta, video, pairs, weights)
-        loss.backward()
-        opt.step(theta, theta.grads())
-        reports.append(rep)
-    return theta, reports
+    return theta, descend(cfg, theta, video, pairs, weights, opt, ocfg.steps)
 
 
 def meta_inner(cfg: NetConfig, theta: ParamSet, video: Video, mcfg: MetaConfig,
@@ -139,15 +147,9 @@ def meta_inner(cfg: NetConfig, theta: ParamSet, video: Video, mcfg: MetaConfig,
 
     Consumes the rng once for the batch (only when inner_steps > 0)."""
     theta_i = theta.clone()
-    if mcfg.inner_steps == 0:
-        return theta_i
-    pairs = sample_pairs(video.frame_count, mcfg.pairs, rng)
-    sgd = SGD(mcfg.inner_lr)
-    for _ in range(mcfg.inner_steps):
-        theta_i.zero_grad()
-        loss, _ = batch_loss(cfg, theta_i, video, pairs, weights)
-        loss.backward()
-        sgd.step(theta_i, theta_i.grads())
+    if mcfg.inner_steps > 0:
+        pairs = sample_pairs(video.frame_count, mcfg.pairs, rng)
+        descend(cfg, theta_i, video, pairs, weights, SGD(mcfg.inner_lr), mcfg.inner_steps)
     return theta_i
 
 
@@ -240,11 +242,7 @@ def train_baseline(cfg: NetConfig, theta0: ParamSet, videos: Sequence[Video],
     for step in range(steps):
         video = videos[int(rng.integers(0, len(videos)))]
         pairs = sample_pairs(video.frame_count, batch_pairs, rng)
-        theta.zero_grad()
-        loss, rep = batch_loss(cfg, theta, video, pairs, weights)
-        loss.backward()
-        opt.step(theta, theta.grads())
-        history.append(rep)
+        history += descend(cfg, theta, video, pairs, weights, opt, 1)
         if progress is not None:
-            progress(step, rep)
+            progress(step, history[-1])
     return theta, history

@@ -2,13 +2,14 @@
 
 Parsing rejects unknown keys anywhere in the tree so that a typo like
 "learning_rte" fails loudly instead of silently training with a default.
-Lists coerce to tuples; numeric validation lives in each dataclass's
-__post_init__.
+Lists coerce to tuples and every float must be finite (JSON admits NaN and
+Infinity); range validation lives in each dataclass's __post_init__.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -105,9 +106,11 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
 
-def _coerce(value):
+def _coerce(value, where: str):
     if isinstance(value, list):
-        return tuple(_coerce(v) for v in value)
+        return tuple(_coerce(v, f"{where}[{i}]") for i, v in enumerate(value))
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: {value} is not a finite number")
     return value
 
 
@@ -129,7 +132,7 @@ def _build(dc_type, obj, where: str):
         if is_dataclass(proto):
             kwargs[name] = _build(type(proto), value, f"{where}.{name}")
         else:
-            kwargs[name] = _coerce(value)
+            kwargs[name] = _coerce(value, f"{where}.{name}")
     try:
         return dc_type(**kwargs)
     except (TypeError, ValueError) as e:

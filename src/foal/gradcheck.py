@@ -128,7 +128,7 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
                           np.linspace(-1.0, 1.0, 12).reshape(4, 3)))
 
     # conv2d, all three arguments, at stride 2 (encoder) and 1 (fuse, head)
-    cx = rng.normal(size=(2, 6, 6))
+    cx = rng.normal(size=(1, 2, 6, 6))
     cw = rng.normal(size=(3, 2, 3, 3))
     cb = rng.normal(size=3)
     for tag, stride in (("", 2), ("_stride1", 1)):
@@ -143,7 +143,7 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
                               lambda b: conv(Tensor(cx), Tensor(cw), b), cb.copy()))
 
     # conv_transpose2d, all three arguments
-    tx = rng.normal(size=(3, 4, 4))
+    tx = rng.normal(size=(1, 3, 4, 4))
     tw = rng.normal(size=(3, 2, 4, 4))
     tb = rng.normal(size=2)
 
@@ -158,10 +158,10 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
                           lambda b: tconv(Tensor(tx), Tensor(tw), b), tb.copy()))
 
     # warp: image argument, then flow argument with off-kink coordinates
-    img = rng.normal(size=(5, 6))
-    vx = rng.uniform(0.1, 0.9, size=(5, 6)) * np.where(
+    img = rng.normal(size=(1, 5, 6))
+    vx = rng.uniform(0.1, 0.9, size=(1, 5, 6)) * np.where(
         np.arange(6)[None, :] < 3, 1.0, -1.0)
-    vy = rng.uniform(0.1, 0.9, size=(5, 6)) * np.where(
+    vy = rng.uniform(0.1, 0.9, size=(1, 5, 6)) * np.where(
         np.arange(5)[:, None] < 3, 1.0, -1.0)
     flow_fixed = MotionField(Tensor(vx), Tensor(vy))
     results.append(_check("warp_image_values",
@@ -185,20 +185,20 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     # loss terms as functions of the flow
     results.append(_check("loss_smooth",
                           lambda x: L.loss_smooth(MotionField(x, Tensor(vy))),
-                          rng.normal(size=(5, 6))))
-    bwd = MotionField(Tensor(rng.uniform(-0.8, 0.8, (5, 6))),
-                      Tensor(rng.uniform(-0.8, 0.8, (5, 6))))
+                          rng.normal(size=(1, 5, 6))))
+    bwd = MotionField(Tensor(rng.uniform(-0.8, 0.8, (1, 5, 6))),
+                      Tensor(rng.uniform(-0.8, 0.8, (1, 5, 6))))
     results.append(_check("loss_consistency",
                           lambda x: L.loss_consistency(
                               MotionField(x, Tensor(vy)), bwd),
-                          rng.uniform(-0.8, 0.8, (5, 6))))
+                          rng.uniform(-0.8, 0.8, (1, 5, 6))))
 
     # full composite: three-term loss through the whole network. Unit-scale
     # frames keep the difference quotients well conditioned.
     cfg = NetConfig(input_size=(8, 8), encoder_channels=(4, 4))
     params = N.init_params(cfg, seed=seed + 1)
-    src = rng.uniform(0.0, 1.0, cfg.input_size)
-    ref = rng.uniform(0.0, 1.0, cfg.input_size)
+    src = rng.uniform(0.0, 1.0, (1, *cfg.input_size))
+    ref = rng.uniform(0.0, 1.0, (1, *cfg.input_size))
     # steer the flows off the kink lattice; see _lattice_margin
     for bias in ((0.37, -0.29), (0.43, -0.41), (0.31, 0.47), (-0.53, 0.23),
                  (0.61, 0.39), (-0.27, -0.57)):
@@ -208,7 +208,7 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     else:
         raise RuntimeError("could not find an off-lattice flow configuration")
     weights = LossWeights()
-    frames, pairs = np.stack([src, ref]), [(0, 1)]
+    frames, pairs = np.concatenate([src, ref]), [(0, 1)]
 
     tot, _ = L.loss_total(cfg, params, frames, pairs, weights)
     tot.backward()

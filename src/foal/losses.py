@@ -71,7 +71,7 @@ def bilinear_gather(image: np.ndarray, sx: np.ndarray, sy: np.ndarray):
 
 def warp_image(image, flow: MotionField) -> Tensor:
     """Backward-warp: output pixel p takes the value image[p + flow(p)],
-    bilinearly interpolated with border clamping.
+    bilinearly interpolated with border clamping; image and flow are [N,H,W].
 
     Differentiable in both the image values and the flow. The flow gradient
     is zeroed where the raw sample coordinate falls outside the image, since
@@ -81,54 +81,40 @@ def warp_image(image, flow: MotionField) -> Tensor:
     vx, vy = flow.vx, flow.vy
     if img.shape != vx.shape:
         raise ShapeError(f"warp_image: image shape {img.shape} != flow shape {vx.shape}")
-    if img.ndim == 2:
-        batched = False
-    elif img.ndim == 3:
-        batched = True
-    else:
-        raise ShapeError(f"warp_image: expected [H,W] or [N,H,W], got {img.shape}")
+    if img.ndim != 3:
+        raise ShapeError(f"warp_image: expected [N,H,W], got {img.shape}")
 
-    idata = img.data if batched else img.data[None]
-    n, h, w = idata.shape
-    gx = np.arange(w, dtype=np.float64)[None, None, :]
-    gy = np.arange(h, dtype=np.float64)[None, :, None]
-    sx = (vx.data if batched else vx.data[None]) + gx
-    sy = (vy.data if batched else vy.data[None]) + gy
+    n, h, w = img.shape
+    sx = vx.data + np.arange(w, dtype=np.float64)
+    sy = vy.data + np.arange(h, dtype=np.float64)[:, None]
 
-    out, cache = bilinear_gather(idata, sx, sy)
+    out, cache = bilinear_gather(img.data, sx, sy)
     corners, wx, wy, i00, i01, i10, i11 = cache
     in_x = (sx >= 0.0) & (sx <= w - 1.0)
     in_y = (sy >= 0.0) & (sy <= h - 1.0)
 
     def vjp(g):
-        g3 = g if batched else g[None]
         g_img = g_vx = g_vy = None
         if img.requires_grad:
             flat = np.zeros(n * h * w)
             for k, ww in zip(corners, ((1 - wx) * (1 - wy), wx * (1 - wy),
                                        (1 - wx) * wy, wx * wy)):
-                flat += np.bincount(k.ravel(), weights=(g3 * ww).ravel(),
+                flat += np.bincount(k.ravel(), weights=(g * ww).ravel(),
                                     minlength=n * h * w)
             g_img = flat.reshape(n, h, w)
-            if not batched:
-                g_img = g_img[0]
         if vx.requires_grad:
             d = ((i01 - i00) * (1 - wy) + (i11 - i10) * wy) * in_x
-            g_vx = g3 * d
-            if not batched:
-                g_vx = g_vx[0]
+            g_vx = g * d
         if vy.requires_grad:
             d = ((i10 - i00) * (1 - wx) + (i11 - i01) * wx) * in_y
-            g_vy = g3 * d
-            if not batched:
-                g_vy = g_vy[0]
+            g_vy = g * d
         return g_img, g_vx, g_vy
 
-    return T._record(out if batched else out[0], (img, vx, vy), vjp)
+    return T._record(out, (img, vx, vy), vjp)
 
 
 def loss_mse(warped, reference) -> Tensor:
-    """Mean squared intensity error over all pixels (and pairs, if batched)."""
+    """Mean squared intensity error over all pixels of all pairs."""
     w = warped if isinstance(warped, Tensor) else Tensor(warped)
     r = reference if isinstance(reference, Tensor) else Tensor(reference)
     if w.shape != r.shape:

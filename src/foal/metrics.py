@@ -33,7 +33,7 @@ class MetricsReport:
 
 
 def warp_mask(mask: LabelMask, flow: MotionField) -> LabelMask:
-    """Backward-warp a label image along the flow.
+    """Backward-warp a label image along an [H,W] flow (one pair, unbatched).
 
     Labels are one-hot encoded, each plane is sampled bilinearly with the
     same border-clamp rule as image warping, and the result is re-labelled
@@ -132,10 +132,9 @@ def evaluate_video(cfg: NetConfig, params: ParamSet, video: Video,
         raise ValueError(f"need one mask per frame, got {len(masks)} for {t}")
 
     with T.no_grad():
-        flow = N.predict_flow(cfg, params,
-                              video.frames[src].astype(np.float64),
-                              video.frames[ref].astype(np.float64))
-    warped = warp_mask(masks[src], flow)
+        flow = N.predict_flow(cfg, params, video.frames[[src]], video.frames[[ref]])
+    vx, vy = flow.arrays()  # one pair: row 0 of the [1,H,W] field
+    warped = warp_mask(masks[src], MotionField(T.Tensor(vx[0]), T.Tensor(vy[0])))
     truth = masks[ref]
 
     dice_by: dict[int, float] = {}

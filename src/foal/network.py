@@ -120,7 +120,8 @@ class ParamSet:
 class MotionField:
     """Dense displacement field, one (vx, vy) pair per pixel.
 
-    vx/vy are [H, W] for a single pair or [N, H, W] for a batch.
+    Network outputs are [N, H, W], one row per frame pair. [H, W] fields are
+    only phantom ground truth and the argument of `metrics.warp_mask`.
     """
 
     vx: Tensor
@@ -176,15 +177,15 @@ def init_params(cfg: NetConfig, seed: int) -> ParamSet:
 
 
 def encode(cfg: NetConfig, params: ParamSet, frames) -> Tensor:
-    """Shared encoder: [T,H,W] frames (or one [H,W]) -> bottleneck features
-    [T,C,h,w]. Each row depends on its own frame only."""
+    """Shared encoder: [T,H,W] frames -> bottleneck features [T,C,h,w].
+    Each row depends on its own frame only."""
     h = T._as_tensor(frames)
-    if h.ndim not in (2, 3):
-        raise ShapeError(f"frames must be [H,W] or [N,H,W], got {h.shape}")
-    if h.shape[-2:] != tuple(cfg.input_size):
-        raise ShapeError(f"frames spatial size {h.shape[-2:]} does not match "
+    if h.ndim != 3:
+        raise ShapeError(f"frames must be [N,H,W], got {h.shape}")
+    if h.shape[1:] != tuple(cfg.input_size):
+        raise ShapeError(f"frames spatial size {h.shape[1:]} does not match "
                          f"configured input_size {tuple(cfg.input_size)}")
-    h = T.reshape(h, (h.shape[0] if h.ndim == 3 else 1, 1) + h.shape[-2:])
+    h = T.reshape(h, (h.shape[0], 1) + h.shape[1:])
     for i in range(1, cfg.depth + 1):
         h = T.conv2d(h, params[f"enc{i}.weight"], params[f"enc{i}.bias"],
                      stride=2, pad=cfg.kernel // 2)
@@ -211,18 +212,14 @@ def decode(cfg: NetConfig, params: ParamSet, feat_src: Tensor, feat_ref: Tensor,
 
 
 def predict_flow(cfg: NetConfig, params: ParamSet, source, reference) -> MotionField:
-    """Motion field aligning `source` toward `reference`.
+    """[N,H,W] motion field aligning each frame of the [N,H,W] `source` stack
+    toward the `reference` frame in the same row.
 
-    Accepts a single [H,W] pair or stacked [N,H,W] batches. The tape stays
-    live through all layers, so backward from any loss on the output reaches
-    every parameter (each encoder weight accumulates from both frames).
+    The tape stays live through all layers, so backward from any loss on the
+    output reaches every parameter (each encoder weight accumulates from both frames).
     """
     feat_src, feat_ref = encode(cfg, params, source), encode(cfg, params, reference)
     if feat_src.shape[0] != feat_ref.shape[0]:
         raise ShapeError(f"source batch {feat_src.shape[0]} != reference batch {feat_ref.shape[0]}")
     rows = np.arange(feat_src.shape[0])
-    flow = decode(cfg, params, feat_src, feat_ref, rows, rows)
-    if T._as_tensor(source).ndim == 3:
-        return flow
-    return MotionField(T.reshape(flow.vx, flow.vx.shape[1:]),
-                       T.reshape(flow.vy, flow.vy.shape[1:]))
+    return decode(cfg, params, feat_src, feat_ref, rows, rows)

@@ -446,8 +446,8 @@ def _corr_wgrad(xb: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
 def _conv(x, weight, bias, stride: int, pad: int, transposed: bool) -> Tensor:
     name = "conv_transpose2d" if transposed else "conv2d"
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"{name}: input must be [C,H,W] or [N,C,H,W], got {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"{name}: input must be [N,C,H,W], got {x.shape}")
     if weight.ndim != 4:
         raise ShapeError(f"{name}: weight must be 4-d, got {weight.shape}")
     cin, cout = weight.shape[int(not transposed)], weight.shape[int(transposed)]
@@ -457,43 +457,40 @@ def _conv(x, weight, bias, stride: int, pad: int, transposed: bool) -> Tensor:
         raise ShapeError(f"{name}: kernel size {weight.shape[2]} must be odd")
     if bias.ndim != 1 or bias.shape[0] != cout:
         raise ShapeError(f"{name}: bias shape {bias.shape} does not match {cout} output channels")
-    if x.shape[-3] != cin:
-        raise ShapeError(f"{name}: input has {x.shape[-3]} channels, weight expects {cin}")
+    if x.shape[1] != cin:
+        raise ShapeError(f"{name}: input has {x.shape[1]} channels, weight expects {cin}")
     if stride < 1 or pad < 0:
         raise ShapeError(f"{name}: need stride >= 1 and padding >= 0, got {stride}, {pad}")
-    xd = x.data.reshape((-1,) + x.shape[-3:])
-    h, w, k = xd.shape[2], xd.shape[3], weight.shape[2]
+    h, w, k = x.shape[2], x.shape[3], weight.shape[2]
     oh, ow = (((h - 1) * stride - 2 * pad + k, (w - 1) * stride - 2 * pad + k) if transposed
               else ((h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1))
     if oh < 1 or ow < 1:
         raise ShapeError(f"{name}: output size ({oh}, {ow}) is empty for input ({h}, {w}), "
                          f"kernel {k}, stride {stride}, padding {pad}")
-    xb = None if transposed else _phases(xd, stride, k, pad)
-    y = (_corr_adj(xd, weight.data, stride, pad, oh, ow, batch=False) if transposed
+    xb = None if transposed else _phases(x.data, stride, k, pad)
+    y = (_corr_adj(x.data, weight.data, stride, pad, oh, ow, batch=False) if transposed
          else _corr(xb, weight.data, oh, ow, batch=False)) + bias.data[None, :, None, None]
 
     def vjp(g):
-        g = g.reshape(y.shape)
         # the correlation runs from `parts` to `out`: x to y, or g to x if transposed
-        parts, out = (_phases(g, stride, k, pad), xd) if transposed else (xb, g)
+        parts, out = (_phases(g, stride, k, pad), x.data) if transposed else (xb, g)
         gx = gw = gb = None
         if x.requires_grad:
             gx = (_corr(parts, weight.data, h, w, batch=True) if transposed
                   else _corr_adj(g, weight.data, stride, pad, h, w, batch=True))
-            gx = gx.reshape(x.shape)
         if weight.requires_grad:
             gw = _corr_wgrad(parts, out, k)
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         return gx, gw, gb
 
-    return _record(y if x.ndim == 4 else y[0], (x, weight, bias), vjp)
+    return _record(y, (x, weight, bias), vjp)
 
 
 def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding.
 
-    x [C_in,H,W] or [N,C_in,H,W]; weight [C_out,C_in,k,k]; bias [C_out].
+    x [N,C_in,H,W]; weight [C_out,C_in,k,k]; bias [C_out] -> [N,C_out,oh,ow].
     """
     return _conv(x, weight, bias, stride, pad, transposed=False)
 
@@ -501,7 +498,7 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
 def conv_transpose2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     """Transposed convolution: the adjoint of conv2d in its input.
 
-    x [C_in,H,W] or [N,C_in,H,W]; weight [C_in,C_out,k,k]; bias [C_out].
-    Output spatial size is (H-1)*stride - 2*pad + k.
+    x [N,C_in,H,W]; weight [C_in,C_out,k,k]; bias [C_out]. Output
+    [N,C_out,oh,ow] with oh = (H-1)*stride - 2*pad + k, ow likewise.
     """
     return _conv(x, weight, bias, stride, pad, transposed=True)

@@ -1,6 +1,7 @@
 """Strict-JSON configuration parsing."""
 
 import json
+import re
 
 import pytest
 
@@ -60,6 +61,29 @@ class TestStrictness:
             C.from_dict({"train": {"steps": -1}})
         with pytest.raises(ConfigError, match="lo <= hi"):
             C.from_dict({"synth": {"inside": {"lv_radius": [8.0, 6.0]}}})
+
+    @pytest.mark.parametrize("doc,path", [
+        ({"seed": float("nan")}, "config.seed"),
+        ({"loss": {"alpha_s": float("nan")}}, "config.loss.alpha_s"),
+        ({"online": {"learning_rate": float("nan")}}, "config.online.learning_rate"),
+        ({"meta": {"inner_lr": float("inf")}}, "config.meta.inner_lr"),
+        ({"train": {"learning_rate": float("nan")}}, "config.train.learning_rate"),
+        ({"synth": {"pixel_spacing_mm": [float("nan"), 1.0]}},
+         "config.synth.pixel_spacing_mm[0]"),
+        ({"synth": {"outside": {"noise_sigma": float("-inf")}}},
+         "config.synth.outside.noise_sigma"),
+    ])
+    def test_non_finite_number_names_the_path(self, doc, path):
+        with pytest.raises(ConfigError, match=re.escape(path) + ": .* is not a finite number"):
+            C.from_dict(doc)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_json_literal_rejected(self, tmp_path, literal):
+        # json.loads reads all four as floats that are not finite
+        p = tmp_path / "cfg.json"
+        p.write_text('{"online": {"learning_rate": %s}}' % literal)
+        with pytest.raises(ConfigError, match=r"config\.online\.learning_rate: "):
+            C.from_json(p)
 
     def test_default_populations_build_valid_phantoms(self):
         # every corner of both draw ranges must satisfy phantom geometry

@@ -10,7 +10,8 @@ from foal import metrics as M
 from foal import network as N
 from foal.data import (DatasetSplit, FormatError, LabelMask, ManifestEntry,
                        PhantomParams, Video)
-from foal.network import NetConfig
+from foal.network import MotionField, NetConfig
+from foal.tensor import Tensor
 
 
 class TestPhantomGeometry:
@@ -87,7 +88,8 @@ class TestPhantomGeometry:
         p = PhantomParams(noise_sigma=0.0)
         video, _, flows = D.generate_phantom(p)
         for t in (2, p.frame_count // 2):
-            warped = warp_image(video.frames[0].astype(np.float64), flows[t]).data
+            flow = MotionField(*(Tensor(a[None]) for a in flows[t].arrays()))
+            warped = warp_image(video.frames[[0]].astype(np.float64), flow).data[0]
             target = video.frames[t].astype(np.float64)
             # soft edges make the rendering nearly shift-equivariant
             assert np.abs(warped - target).mean() < 2.0

@@ -33,35 +33,41 @@ def smooth_oracle(vx, vy):
 class TestWarp:
     def test_zero_flow_is_identity(self):
         rng = np.random.default_rng(0)
-        img = rng.normal(size=(6, 7))
-        out = L.warp_image(img, zero_field((6, 7)))
+        img = rng.normal(size=(1, 6, 7))
+        out = L.warp_image(img, zero_field((1, 6, 7)))
         assert np.array_equal(out.data, img)
 
+    def test_unbatched_image_rejected(self):
+        # one [H,W] image is a batch of one, [1,H,W]
+        with pytest.raises(T.ShapeError, match=r"\[N,H,W\], got \(6, 7\)"):
+            L.warp_image(np.zeros((6, 7)), zero_field((6, 7)))
+
     def test_unit_shift_right_with_border_clamp(self):
-        img = np.arange(12.0).reshape(3, 4)
-        out = L.warp_image(img, field(np.ones((3, 4)), np.zeros((3, 4))))
-        want = np.concatenate([img[:, 1:], img[:, -1:]], axis=1)
+        img = np.arange(12.0).reshape(1, 3, 4)
+        out = L.warp_image(img, field(np.ones((1, 3, 4)), np.zeros((1, 3, 4))))
+        want = np.concatenate([img[:, :, 1:], img[:, :, -1:]], axis=2)
         assert np.array_equal(out.data, want)
 
     def test_half_pixel_shift_averages_neighbors(self):
-        img = np.array([[0.0, 2.0, 4.0, 6.0]])
-        out = L.warp_image(img, field(np.full((1, 4), 0.5), np.zeros((1, 4))))
-        assert np.allclose(out.data[0, :3], [1.0, 3.0, 5.0])
-        assert out.data[0, 3] == 6.0
+        img = np.array([[[0.0, 2.0, 4.0, 6.0]]])
+        out = L.warp_image(img, field(np.full((1, 1, 4), 0.5), np.zeros((1, 1, 4))))
+        assert np.allclose(out.data[0, 0, :3], [1.0, 3.0, 5.0])
+        assert out.data[0, 0, 3] == 6.0
 
     def test_far_out_of_range_clamps_to_border(self):
-        img = np.arange(6.0).reshape(2, 3)
-        out = L.warp_image(img, field(np.full((2, 3), 100.0),
-                                      np.full((2, 3), -100.0)))
-        assert np.all(out.data == img[0, 2])
+        img = np.arange(6.0).reshape(1, 2, 3)
+        out = L.warp_image(img, field(np.full((1, 2, 3), 100.0),
+                                      np.full((1, 2, 3), -100.0)))
+        assert np.all(out.data == img[0, 0, 2])
 
     def test_vertical_matches_transposed_horizontal(self):
         rng = np.random.default_rng(1)
-        img = rng.normal(size=(5, 5))
-        v = rng.uniform(-1.2, 1.2, size=(5, 5))
+        img = rng.normal(size=(1, 5, 5))
+        v = rng.uniform(-1.2, 1.2, size=(1, 5, 5))
         horiz = L.warp_image(img, field(v, np.zeros_like(v))).data
-        vert = L.warp_image(img.T, field(np.zeros_like(v), v.T)).data
-        assert np.allclose(horiz, vert.T, atol=1e-14)
+        vert = L.warp_image(img.transpose(0, 2, 1),
+                            field(np.zeros_like(v), v.transpose(0, 2, 1))).data
+        assert np.allclose(horiz, vert.transpose(0, 2, 1), atol=1e-14)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(2)
@@ -70,14 +76,14 @@ class TestWarp:
         vy = rng.uniform(-1, 1, size=(3, 4, 4))
         joint = L.warp_image(imgs, field(vx, vy)).data
         for i in range(3):
-            one = L.warp_image(imgs[i], field(vx[i], vy[i])).data
-            assert np.array_equal(joint[i], one)
+            one = L.warp_image(imgs[i:i + 1], field(vx[i:i + 1], vy[i:i + 1])).data
+            assert np.array_equal(joint[i:i + 1], one)
 
     def test_grad_wrt_image_finite_difference(self):
         rng = np.random.default_rng(3)
-        img0 = rng.normal(size=(5, 6))
-        vx = rng.uniform(-1.3, 1.3, size=(5, 6))
-        vy = rng.uniform(-1.3, 1.3, size=(5, 6))
+        img0 = rng.normal(size=(1, 5, 6))
+        vx = rng.uniform(-1.3, 1.3, size=(1, 5, 6))
+        vy = rng.uniform(-1.3, 1.3, size=(1, 5, 6))
         fl = field(vx, vy)
 
         img = Tensor(img0.copy(), requires_grad=True)
@@ -91,11 +97,11 @@ class TestWarp:
 
     def test_grad_wrt_flow_finite_difference(self):
         rng = np.random.default_rng(4)
-        img = rng.normal(size=(6, 6))
+        img = rng.normal(size=(1, 6, 6))
         # keep sample coords strictly inside and off the bilinear kinks
-        vx0 = rng.uniform(0.1, 0.9, size=(6, 6)) * np.where(
+        vx0 = rng.uniform(0.1, 0.9, size=(1, 6, 6)) * np.where(
             np.arange(6)[None, :] < 3, 1.0, -1.0)
-        vy0 = rng.uniform(0.1, 0.9, size=(6, 6)) * np.where(
+        vy0 = rng.uniform(0.1, 0.9, size=(1, 6, 6)) * np.where(
             np.arange(6)[:, None] < 3, 1.0, -1.0)
 
         fl = field(vx0.copy(), vy0.copy(), requires_grad=True)
@@ -112,9 +118,9 @@ class TestWarp:
         assert rel_err(fl.vy.grad, finite_diff(make("y"), vy0.copy())) < 1e-4
 
     def test_flow_grad_zero_where_sample_out_of_range(self):
-        img = np.arange(16.0).reshape(4, 4)
-        vx = np.full((4, 4), 10.0)
-        fl = field(vx, np.zeros((4, 4)), requires_grad=True)
+        img = np.arange(16.0).reshape(1, 4, 4)
+        vx = np.full((1, 4, 4), 10.0)
+        fl = field(vx, np.zeros((1, 4, 4)), requires_grad=True)
         T.mean(L.warp_image(img, fl)).backward()
         assert np.all(fl.vx.grad == 0.0)
 
@@ -178,27 +184,27 @@ class TestConsistency:
         # constant unit right shift and its constant inverse; crop-free zone
         # is the whole image because warp clamps identical constants
         h, w = 5, 5
-        fwd = field(np.ones((h, w)), np.zeros((h, w)))
-        bwd = field(-np.ones((h, w)), np.zeros((h, w)))
+        fwd = field(np.ones((1, h, w)), np.zeros((1, h, w)))
+        bwd = field(-np.ones((1, h, w)), np.zeros((1, h, w)))
         assert L.loss_consistency(fwd, bwd).item() == pytest.approx(0.0, abs=1e-15)
 
     def test_uncompensated_unit_shift_scores_one(self):
         h, w = 4, 4
-        fwd = field(np.ones((h, w)), np.zeros((h, w)))
-        bwd = zero_field((h, w))
+        fwd = field(np.ones((1, h, w)), np.zeros((1, h, w)))
+        bwd = zero_field((1, h, w))
         assert L.loss_consistency(fwd, bwd).item() == pytest.approx(1.0, rel=1e-15)
 
     def test_symmetry_in_argument_order(self):
         rng = np.random.default_rng(10)
-        a = field(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))
-        b = field(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))
+        a = field(rng.uniform(-1, 1, (1, 6, 6)), rng.uniform(-1, 1, (1, 6, 6)))
+        b = field(rng.uniform(-1, 1, (1, 6, 6)), rng.uniform(-1, 1, (1, 6, 6)))
         assert L.loss_consistency(a, b).item() == L.loss_consistency(b, a).item()
 
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(11)
-        ax0 = rng.uniform(-0.8, 0.8, (5, 5))
-        ay0 = rng.uniform(-0.8, 0.8, (5, 5))
-        b = field(rng.uniform(-0.8, 0.8, (5, 5)), rng.uniform(-0.8, 0.8, (5, 5)))
+        ax0 = rng.uniform(-0.8, 0.8, (1, 5, 5))
+        ay0 = rng.uniform(-0.8, 0.8, (1, 5, 5))
+        b = field(rng.uniform(-0.8, 0.8, (1, 5, 5)), rng.uniform(-0.8, 0.8, (1, 5, 5)))
 
         a = field(ax0.copy(), ay0.copy(), requires_grad=True)
         L.loss_consistency(a, b).backward()
@@ -391,9 +397,9 @@ class TestTotal:
         assert sorted(rows) == sorted({p for a, b in self.PAIRS for p in ((a, b), (b, a))})
         monkeypatch.undo()
         for i, (a, b) in enumerate(rows):
-            one = N.predict_flow(self.CFG, params, frames[a], frames[b])
-            assert np.array_equal(flow.vx.data[i], one.vx.data)
-            assert np.array_equal(flow.vy.data[i], one.vy.data)
+            one = N.predict_flow(self.CFG, params, frames[[a]], frames[[b]])
+            assert np.array_equal(flow.vx.data[i:i + 1], one.vx.data)
+            assert np.array_equal(flow.vy.data[i:i + 1], one.vy.data)
 
     def test_fuse_runs_per_frame_and_up1_per_distinct_pair(self, monkeypatch):
         params = N.init_params(self.CFG, seed=11)

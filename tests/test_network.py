@@ -14,9 +14,8 @@ from test_tensor import finite_diff, rel_err
 SMALL = NetConfig(input_size=(16, 16), encoder_channels=(4, 8))
 
 
-def rand_frames(rng, cfg, n=None):
-    shape = cfg.input_size if n is None else (n, *cfg.input_size)
-    return rng.uniform(0.0, 255.0, size=shape)
+def rand_frames(rng, cfg, n=1):
+    return rng.uniform(0.0, 255.0, size=(n, *cfg.input_size))
 
 
 class TestConfig:
@@ -82,10 +81,9 @@ class TestForward:
     def test_output_shape_single_and_batch(self):
         rng = np.random.default_rng(0)
         params = N.init_params(SMALL, seed=1)
-        flow = N.predict_flow(SMALL, params, rand_frames(rng, SMALL),
-                              rand_frames(rng, SMALL))
-        assert flow.vx.shape == (16, 16)
-        assert flow.vy.shape == (16, 16)
+        with pytest.raises(T.ShapeError, match=r"\[N,H,W\], got \(16, 16\)"):
+            N.predict_flow(SMALL, params, rand_frames(rng, SMALL)[0],
+                           rand_frames(rng, SMALL)[0])
 
         flow_b = N.predict_flow(SMALL, params, rand_frames(rng, SMALL, 5),
                                 rand_frames(rng, SMALL, 5))
@@ -100,9 +98,9 @@ class TestForward:
             ref = rand_frames(rng, cfg, n)
             joint = N.predict_flow(cfg, params, src, ref)
             for i in sorted({0, 1, 2, n - 1}):
-                one = N.predict_flow(cfg, params, src[i], ref[i])
-                assert np.array_equal(joint.vx.data[i], one.vx.data)
-                assert np.array_equal(joint.vy.data[i], one.vy.data)
+                one = N.predict_flow(cfg, params, src[i:i + 1], ref[i:i + 1])
+                assert np.array_equal(joint.vx.data[i:i + 1], one.vx.data)
+                assert np.array_equal(joint.vy.data[i:i + 1], one.vy.data)
 
     def test_argument_order_matters(self):
         rng = np.random.default_rng(6)
@@ -125,7 +123,9 @@ class TestForward:
     def test_wrong_spatial_size_rejected(self):
         params = N.init_params(SMALL, seed=0)
         with pytest.raises(T.ShapeError, match="input_size"):
-            N.predict_flow(SMALL, params, np.zeros((8, 8)), np.zeros((8, 8)))
+            N.predict_flow(SMALL, params, np.zeros((1, 8, 8)), np.zeros((1, 8, 8)))
+        with pytest.raises(T.ShapeError, match=r"\[N,H,W\], got \(16, 16\)"):
+            N.encode(SMALL, params, np.zeros((16, 16)))
 
     def test_batch_mismatch_rejected(self):
         rng = np.random.default_rng(12)

@@ -187,17 +187,17 @@ class TestConvForward:
     ])
     def test_matches_nested_loop_oracle(self, cin, cout, hw, k, stride, pad):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(cin, hw, hw))
+        x = rng.normal(size=(1, cin, hw, hw))
         w = rng.normal(size=(cout, cin, k, k))
         b = rng.normal(size=cout)
         got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, pad).data
-        want = conv2d_oracle(x, w, b, stride, pad)
+        want = conv2d_oracle(x[0], w, b, stride, pad)[None]
         assert got.shape == want.shape
         assert np.allclose(got, want, atol=1e-12)
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(1, 6, 6))
+        x = rng.normal(size=(1, 1, 6, 6))
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
         out = T.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)), 1, 1)
@@ -210,13 +210,13 @@ class TestConvForward:
         b = rng.normal(size=3)
         joint = T.conv2d(Tensor(xs), Tensor(w), Tensor(b), 2, 1).data
         for n in range(4):
-            single = T.conv2d(Tensor(xs[n]), Tensor(w), Tensor(b), 2, 1).data
-            assert np.array_equal(joint[n], single)
+            single = T.conv2d(Tensor(xs[n:n + 1]), Tensor(w), Tensor(b), 2, 1).data
+            assert np.array_equal(joint[n:n + 1], single)
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(2)
-        x1 = rng.normal(size=(2, 5, 5))
-        x2 = rng.normal(size=(2, 5, 5))
+        x1 = rng.normal(size=(1, 2, 5, 5))
+        x2 = rng.normal(size=(1, 2, 5, 5))
         w = rng.normal(size=(2, 2, 3, 3))
         zb = np.zeros(2)
         f = lambda x: T.conv2d(Tensor(x), Tensor(w), Tensor(zb), 1, 1).data
@@ -224,13 +224,20 @@ class TestConvForward:
 
     def test_channel_mismatch_error(self):
         with pytest.raises(T.ShapeError, match="channels"):
-            T.conv2d(Tensor(np.zeros((2, 4, 4))),
+            T.conv2d(Tensor(np.zeros((1, 2, 4, 4))),
                      Tensor(np.zeros((1, 3, 3, 3))), Tensor(np.zeros(1)))
 
     def test_kernel_larger_than_padded_input_error(self):
         with pytest.raises(T.ShapeError):
-            T.conv2d(Tensor(np.zeros((1, 2, 2))),
+            T.conv2d(Tensor(np.zeros((1, 1, 2, 2))),
                      Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros(1)), 1, 0)
+
+    @pytest.mark.parametrize("op,weight", [(T.conv2d, (4, 2, 3, 3)),
+                                           (T.conv_transpose2d, (2, 4, 4, 4))])
+    def test_unbatched_input_rejected(self, op, weight):
+        # one [C,H,W] sample is a batch of one, [1,C,H,W]
+        with pytest.raises(T.ShapeError, match=r"\[N,C,H,W\]"):
+            op(Tensor(np.zeros((2, 6, 6))), Tensor(np.zeros(weight)), Tensor(np.zeros(4)), 2, 1)
 
 
 def conv_transpose2d_oracle(x, w, b, stride, pad):
@@ -251,10 +258,10 @@ def conv_transpose2d_oracle(x, w, b, stride, pad):
 
 class TestConvTransposeForward:
     def test_output_shape_doubles_with_4x4_s2_p1(self):
-        x = Tensor(np.zeros((8, 5, 7)))
+        x = Tensor(np.zeros((1, 8, 5, 7)))
         w = Tensor(np.zeros((8, 4, 4, 4)))
         out = T.conv_transpose2d(x, w, Tensor(np.zeros(4)), 2, 1)
-        assert out.shape == (4, 10, 14)
+        assert out.shape == (1, 4, 10, 14)
 
     @pytest.mark.parametrize("cin,cout,hw,k,stride,pad", [
         (1, 1, 4, 3, 1, 0),
@@ -264,11 +271,11 @@ class TestConvTransposeForward:
     ])
     def test_matches_scatter_oracle(self, cin, cout, hw, k, stride, pad):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(cin, hw, hw))
+        x = rng.normal(size=(1, cin, hw, hw))
         w = rng.normal(size=(cin, cout, k, k))
         b = rng.normal(size=cout)
         got = T.conv_transpose2d(Tensor(x), Tensor(w), Tensor(b), stride, pad).data
-        want = conv_transpose2d_oracle(x, w, b, stride, pad)
+        want = conv_transpose2d_oracle(x[0], w, b, stride, pad)[None]
         assert got.shape == want.shape
         assert np.allclose(got, want, atol=1e-12)
 
@@ -279,10 +286,10 @@ class TestConvTransposeForward:
         # sizes chosen so (H + 2*pad - k) divides by stride exactly,
         # otherwise the two ops pair spaces of different sizes
         for stride, pad, k, hw in [(1, 0, 3, 9), (1, 1, 3, 9), (2, 1, 3, 9), (3, 2, 5, 10)]:
-            u = rng.normal(size=(3, hw, hw))
+            u = rng.normal(size=(1, 3, hw, hw))
             w = rng.normal(size=(2, 3, k, k))
             oh = (hw + 2 * pad - k) // stride + 1
-            v = rng.normal(size=(2, oh, oh))
+            v = rng.normal(size=(1, 2, oh, oh))
             cu = T.conv2d(Tensor(u), Tensor(w), Tensor(np.zeros(2)), stride, pad).data
             tv = T.conv_transpose2d(Tensor(v), Tensor(w), Tensor(np.zeros(3)),
                                     stride, pad).data
@@ -297,8 +304,8 @@ class TestConvTransposeForward:
         b = rng.normal(size=3)
         joint = T.conv_transpose2d(Tensor(xs), Tensor(w), Tensor(b), 2, 1).data
         for n in range(3):
-            single = T.conv_transpose2d(Tensor(xs[n]), Tensor(w), Tensor(b), 2, 1).data
-            assert np.array_equal(joint[n], single)
+            single = T.conv_transpose2d(Tensor(xs[n:n + 1]), Tensor(w), Tensor(b), 2, 1).data
+            assert np.array_equal(joint[n:n + 1], single)
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -335,14 +342,14 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_conv2d_wrt_input(self):
         rng = np.random.default_rng(12)
-        x0 = rng.normal(size=(2, 6, 6))
+        x0 = rng.normal(size=(1, 2, 6, 6))
         w = Tensor(rng.normal(size=(3, 2, 3, 3)))
         b = Tensor(rng.normal(size=3))
         self.check(lambda x: T.mean(T.square(T.conv2d(x, w, b, 2, 1))), x0)
 
     def test_conv2d_wrt_weight_and_bias(self):
         rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(2, 6, 6)))
+        x = Tensor(rng.normal(size=(1, 2, 6, 6)))
         w0 = rng.normal(size=(3, 2, 3, 3))
         b0 = rng.normal(size=3)
 
@@ -363,7 +370,7 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_conv_transpose_wrt_all_args(self):
         rng = np.random.default_rng(14)
-        x0 = rng.normal(size=(3, 4, 4))
+        x0 = rng.normal(size=(1, 3, 4, 4))
         w0 = rng.normal(size=(3, 2, 4, 4))
         b0 = rng.normal(size=2)
 
@@ -394,7 +401,7 @@ class TestGradientsAgainstFiniteDifferences:
         acc = np.zeros_like(w0)
         for n in range(3):
             wn = Tensor(w0.copy(), requires_grad=True)
-            T.total(T.square(T.conv2d(Tensor(xs[n]), wn, Tensor(b0), 2, 1))).backward()
+            T.total(T.square(T.conv2d(Tensor(xs[n:n + 1]), wn, Tensor(b0), 2, 1))).backward()
             acc += wn.grad
         assert np.allclose(joint, acc, rtol=1e-12, atol=1e-12)
 
@@ -402,7 +409,7 @@ class TestGradientsAgainstFiniteDifferences:
 class TestDeterminism:
     def test_same_graph_same_grads_bitwise(self):
         rng = np.random.default_rng(42)
-        x0 = rng.normal(size=(2, 8, 8))
+        x0 = rng.normal(size=(1, 2, 8, 8))
         w0 = rng.normal(size=(4, 2, 3, 3))
 
         def run():
@@ -445,16 +452,16 @@ class TestConvKernelPaths:
     ])
     def test_conv2d_forward_and_vjp_match_loops(self, cin, cout, h, w, k, stride, pad):
         rng = np.random.default_rng(21)
-        x0, w0, b0 = rng.normal(size=(cin, h, w)), rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout)
+        x0, w0, b0 = rng.normal(size=(1, cin, h, w)), rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout)
         x, wt, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
         y = T.conv2d(x, wt, b, stride, pad)
-        assert np.allclose(y.data, conv2d_oracle(x0, w0, b0, stride, pad), atol=1e-12)
+        assert np.allclose(y.data[0], conv2d_oracle(x0[0], w0, b0, stride, pad), atol=1e-12)
         v = rng.normal(size=y.shape)
         T.total(T.mul(y, Tensor(v))).backward()
-        gx, gw = conv2d_vjp_oracle(x0, w0, v, stride, pad)
-        assert np.allclose(x.grad, gx, atol=1e-12)
+        gx, gw = conv2d_vjp_oracle(x0[0], w0, v[0], stride, pad)
+        assert np.allclose(x.grad[0], gx, atol=1e-12)
         assert np.allclose(wt.grad, gw, atol=1e-12)
-        assert np.allclose(b.grad, v.sum(axis=(1, 2)), atol=1e-12)
+        assert np.allclose(b.grad, v[0].sum(axis=(1, 2)), atol=1e-12)
 
     @pytest.mark.parametrize("cin,cout,h,w,k,stride,pad", [
         (2, 3, 4, 4, 3, 2, 1),
@@ -465,17 +472,17 @@ class TestConvKernelPaths:
     ])
     def test_conv_transpose2d_forward_and_vjp_match_loops(self, cin, cout, h, w, k, stride, pad):
         rng = np.random.default_rng(22)
-        x0, w0, b0 = rng.normal(size=(cin, h, w)), rng.normal(size=(cin, cout, k, k)), rng.normal(size=cout)
+        x0, w0, b0 = rng.normal(size=(1, cin, h, w)), rng.normal(size=(cin, cout, k, k)), rng.normal(size=cout)
         x, wt, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
         y = T.conv_transpose2d(x, wt, b, stride, pad)
-        assert np.allclose(y.data, conv_transpose2d_oracle(x0, w0, b0, stride, pad), atol=1e-12)
+        assert np.allclose(y.data[0], conv_transpose2d_oracle(x0[0], w0, b0, stride, pad), atol=1e-12)
         v = rng.normal(size=y.shape)
         T.total(T.mul(y, Tensor(v))).backward()
         # <convT(x, w), v> = <x, conv2d(v, w)>, so the conv2d loops give both gradients
-        assert np.allclose(x.grad, conv2d_oracle(v, w0, np.zeros(cin), stride, pad), atol=1e-12)
-        _, gw = conv2d_vjp_oracle(v, w0, x0, stride, pad)
+        assert np.allclose(x.grad[0], conv2d_oracle(v[0], w0, np.zeros(cin), stride, pad), atol=1e-12)
+        _, gw = conv2d_vjp_oracle(v[0], w0, x0[0], stride, pad)
         assert np.allclose(wt.grad, gw, atol=1e-12)
-        assert np.allclose(b.grad, v.sum(axis=(1, 2)), atol=1e-12)
+        assert np.allclose(b.grad, v[0].sum(axis=(1, 2)), atol=1e-12)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -486,26 +493,26 @@ class TestConvKernelPaths:
         h, w = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
         cin, cout = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
-        x0 = rng.normal(size=(cin, h, w))
+        x0 = rng.normal(size=(1, cin, h, w))
         w0 = rng.normal(size=(cin, cout, k, k) if transposed else (cout, cin, k, k))
         if transposed:
             assume((h - 1) * stride - 2 * pad + k >= 1 and (w - 1) * stride - 2 * pad + k >= 1)
-            want = conv_transpose2d_oracle(x0, w0, np.zeros(cout), stride, pad)
+            want = conv_transpose2d_oracle(x0[0], w0, np.zeros(cout), stride, pad)
         else:
             assume(h + 2 * pad >= k and w + 2 * pad >= k)
-            want = conv2d_oracle(x0, w0, np.zeros(cout), stride, pad)
+            want = conv2d_oracle(x0[0], w0, np.zeros(cout), stride, pad)
         x, wt = Tensor(x0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
         op = T.conv_transpose2d if transposed else T.conv2d
         y = op(x, wt, Tensor(np.zeros(cout)), stride, pad)
-        assert np.allclose(y.data, want, atol=1e-12)
+        assert np.allclose(y.data[0], want, atol=1e-12)
         v = rng.normal(size=y.shape)
         T.total(T.mul(y, Tensor(v))).backward()
         if transposed:
-            gx = conv2d_oracle(v, w0, np.zeros(cin), stride, pad)
-            _, gw = conv2d_vjp_oracle(v, w0, x0, stride, pad)
+            gx = conv2d_oracle(v[0], w0, np.zeros(cin), stride, pad)
+            _, gw = conv2d_vjp_oracle(v[0], w0, x0[0], stride, pad)
         else:
-            gx, gw = conv2d_vjp_oracle(x0, w0, v, stride, pad)
-        assert np.allclose(x.grad, gx, atol=1e-12)
+            gx, gw = conv2d_vjp_oracle(x0[0], w0, v[0], stride, pad)
+        assert np.allclose(x.grad[0], gx, atol=1e-12)
         assert np.allclose(wt.grad, gw, atol=1e-12)
 
     @pytest.mark.parametrize("transposed", [False, True])
@@ -516,5 +523,5 @@ class TestConvKernelPaths:
         op = T.conv_transpose2d if transposed else T.conv2d
         joint = op(Tensor(xs), Tensor(w), Tensor(np.zeros(4)), 2, 1).data
         for n in range(5):
-            single = op(Tensor(xs[n]), Tensor(w), Tensor(np.zeros(4)), 2, 1).data
-            assert np.array_equal(joint[n], single)
+            single = op(Tensor(xs[n:n + 1]), Tensor(w), Tensor(np.zeros(4)), 2, 1).data
+            assert np.array_equal(joint[n:n + 1], single)
