@@ -29,6 +29,10 @@ from foal.optim import Adam, SGD
 from foal.tensor import Tensor
 
 
+class DivergenceError(ValueError):
+    """A loss, or a parameter after an update, is not finite."""
+
+
 @dataclass(frozen=True)
 class OnlineConfig:
     """Test-time adaptation: `steps` optimizer updates on one batch of
@@ -112,13 +116,18 @@ def descend(cfg: NetConfig, theta: ParamSet, video: Video,
             pairs: Sequence[tuple[int, int]], weights: LossWeights,
             opt: Adam | SGD, steps: int) -> list[LossReport]:
     """`steps` optimizer updates of theta, in place, on one fixed batch of
-    pairs. Returns the loss report of each step, taken before its update."""
+    pairs. Returns the loss report of each step, taken before its update;
+    raises DivergenceError once a loss or an updated parameter is not finite."""
     reports: list[LossReport] = []
-    for _ in range(steps):
+    for step in range(steps):
         theta.zero_grad()
         loss, rep = batch_loss(cfg, theta, video, pairs, weights)
         loss.backward()
         opt.step(theta, theta.grads())
+        bad = [n for n, t in theta.items() if not np.isfinite(t.data).all()]
+        if bad or not np.isfinite(rep.total):
+            raise DivergenceError(f"video '{video.video_id}': step {step} diverged, loss "
+                                  f"{rep.total}, non-finite parameters {bad}")
         reports.append(rep)
     return reports
 
@@ -163,6 +172,8 @@ def meta_gradient(cfg: NetConfig, theta_i: ParamSet, video: Video,
     inner-loop updates."""
     theta_i.zero_grad()
     loss, rep = batch_loss(cfg, theta_i, video, heldout, weights)
+    if not np.isfinite(rep.total):
+        raise DivergenceError(f"video '{video.video_id}': held-out loss is {rep.total}")
     loss.backward()
     return {n: theta_i[n].grad.copy() for n in theta_i.names()}, rep
 

@@ -8,7 +8,7 @@ Subcommands cover the full experiment cycle:
   eval        per-video online adaptation plus segmentation-transfer metrics
   gradcheck   finite-difference audit of every differentiable op
 
-Exit codes: 0 success, 1 usage or data errors, 2 failed numerical checks.
+Exit codes: 0 success, 1 usage, data or divergence errors, 2 failed checks.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -205,8 +206,8 @@ def cmd_meta_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_one(cfg: C.RunConfig, params, entry: D.ManifestEntry, idx: int,
-              adapt: str):
+def _eval_one(cfg: C.RunConfig, params, adapt: str, idx: int,
+              entry: D.ManifestEntry):
     video, masks = D.load_entry(entry)
     adapt_ms = None
     theta = params
@@ -252,17 +253,9 @@ def cmd_eval(args) -> int:
         raise ValueError("manifest has no test videos")
     params = D.read_checkpoint(args.checkpoint)
     _validate_checkpoint(cfg, params)
-    threads = _resolve_threads(args)
-
-    def work(item):
-        idx, entry = item
-        return _eval_one(cfg, params, entry, idx, args.adapt)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, enumerate(entries)))
-    else:
-        results = [work(item) for item in enumerate(entries)]
+    with ThreadPoolExecutor(max_workers=_resolve_threads(args)) as pool:
+        results = list(pool.map(partial(_eval_one, cfg, params, args.adapt),
+                                range(len(entries)), entries))
 
     rows: list[dict] = []
     for entry, (report, adapt_ms) in zip(entries, results):

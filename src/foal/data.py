@@ -33,7 +33,12 @@ FORMAT_VERSION = 1
 
 
 class FormatError(ValueError):
-    """Malformed binary file; message carries the byte offset."""
+    """Malformed binary file; message names the file and any byte offset."""
+
+
+def _check_spacing(spacing, where: str = "") -> None:
+    if not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise ValueError(f"{where}pixel spacing must be finite and positive, got {spacing}")
 
 
 @dataclass
@@ -48,15 +53,13 @@ class Video:
         self.frames = np.asarray(self.frames, dtype=np.float32)
         if self.frames.ndim != 3:
             raise ValueError(f"frames must be [T,H,W], got {self.frames.shape}")
-        if self.frames.shape[0] < 2:
-            raise ValueError(f"a video needs >= 2 frames, got {self.frames.shape[0]}")
+        if self.frames.shape[0] < 2 or not self.frames[0].size:
+            raise ValueError(f"a video needs >= 2 non-empty frames, got {self.frames.shape}")
         bad = np.argwhere(~np.isfinite(self.frames))
         if len(bad):
             raise ValueError(f"frames must be finite; {len(bad)} values are not, "
                              f"the first at [t, y, x] = {bad[0].tolist()}")
-        sx, sy = self.pixel_spacing_mm
-        if sx <= 0 or sy <= 0:
-            raise ValueError(f"pixel spacing must be positive, got {self.pixel_spacing_mm}")
+        _check_spacing(self.pixel_spacing_mm)
 
     @property
     def frame_count(self) -> int:
@@ -76,14 +79,12 @@ class LabelMask:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.uint8)
-        if self.labels.ndim != 2:
-            raise ValueError(f"labels must be [H,W], got {self.labels.shape}")
+        if self.labels.ndim != 2 or not self.labels.size:
+            raise ValueError(f"labels must be a non-empty [H,W] grid, got {self.labels.shape}")
         if self.labels.max(initial=0) >= NUM_LABELS:
             raise ValueError(f"labels must lie in [0, {NUM_LABELS - 1}], "
                              f"got max {self.labels.max()}")
-        sx, sy = self.pixel_spacing_mm
-        if sx <= 0 or sy <= 0:
-            raise ValueError(f"pixel spacing must be positive, got {self.pixel_spacing_mm}")
+        _check_spacing(self.pixel_spacing_mm)
 
 
 @dataclass(frozen=True)
@@ -278,18 +279,30 @@ def write_video(path, video: Video) -> None:
     Path(path).write_bytes(blob)
 
 
-def read_video(path) -> Video:
+def _read_grid(path, magic: bytes, ndim: int, dtype: str, make):
+    """make(payload, spacing) from an FVID or FMSK file (magic, version, `ndim`
+    u32 dims, spacing as two f64, payload); any failure is a FormatError."""
     cur = _Cursor(Path(path).read_bytes(), path)
-    cur.expect_magic(b"FVID")
-    t, h, w = cur.u32(), cur.u32(), cur.u32()
-    sx, sy = cur.f64(), cur.f64()
-    at = cur.pos
-    data = np.frombuffer(cur.take(4 * t * h * w), dtype="<f4").reshape(t, h, w)
+    cur.expect_magic(magic)
+    dims = [cur.u32() for _ in range(ndim)]
+    spacing = (cur.f64(), cur.f64())
+    at = cur.pos  # the payload; the spacing is the 16 bytes before it
+    data = np.frombuffer(cur.take(np.dtype(dtype).itemsize * math.prod(dims)), dtype=dtype)
     cur.done()
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        raise FormatError(f"{path}: non-finite frame value at byte offset {at + 4 * bad[0]}")
-    return Video(data.copy(), (sx, sy), video_id=Path(path).stem)
+    if not np.isfinite(data).all():  # frames only: u8 labels are always finite
+        bad = np.flatnonzero(~np.isfinite(data))[0]
+        raise FormatError(f"{path}: non-finite frame value at byte offset "
+                          f"{at + data.itemsize * bad}")
+    try:
+        _check_spacing(spacing, f"byte offset {at - 16}: ")
+        return make(data.reshape(dims).copy(), spacing)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
+def read_video(path) -> Video:
+    return _read_grid(path, b"FVID", 3, "<f4",
+                      lambda data, spacing: Video(data, spacing, video_id=Path(path).stem))
 
 
 def write_mask(path, mask: LabelMask) -> None:
@@ -302,13 +315,7 @@ def write_mask(path, mask: LabelMask) -> None:
 
 
 def read_mask(path) -> LabelMask:
-    cur = _Cursor(Path(path).read_bytes(), path)
-    cur.expect_magic(b"FMSK")
-    h, w = cur.u32(), cur.u32()
-    sx, sy = cur.f64(), cur.f64()
-    data = np.frombuffer(cur.take(h * w), dtype=np.uint8).reshape(h, w)
-    cur.done()
-    return LabelMask(data.copy(), (sx, sy))
+    return _read_grid(path, b"FMSK", 2, "u1", LabelMask)
 
 
 def write_checkpoint(path, params: ParamSet) -> None:
@@ -389,13 +396,11 @@ class DatasetSplit:
 
 
 def _manifest_rel(p, root: Path) -> str:
-    p = Path(p)
-    if p.is_absolute():
-        try:
-            return p.resolve().relative_to(root).as_posix()
-        except ValueError:
-            return p.as_posix()
-    return p.as_posix()
+    p = Path(p).resolve()
+    try:
+        return p.relative_to(root).as_posix()
+    except ValueError:
+        return p.as_posix()
 
 
 def save_manifest(path, split: DatasetSplit) -> None:

@@ -1,10 +1,10 @@
 """Finite-difference verification of every differentiable building block.
 
-Each check compares a backward-pass gradient with central differences
-(h = 1e-5) and reports the worst elementwise relative error
-|analytic - numeric| / max(1, |numeric|). Primitive ops must agree to 1e-4;
-the full network composite, whose difference quotients stack more rounding,
-gets 1e-3.
+Every check runs `_check`: the backward gradient of a scalar function of one
+array, its other inputs held constant, against central differences (h = 1e-5),
+as the worst elementwise |analytic - numeric| / max(1, |numeric|). Primitive
+ops must agree to 1e-4; the full network, checked one parameter at a time,
+stacks more rounding in its difference quotients and gets 1e-3.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ def finite_diff(f: Callable[[np.ndarray], float], x: np.ndarray,
     return g
 
 
-def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    return float(np.max(np.abs(analytic - numeric)
-                        / np.maximum(1.0, np.abs(numeric))))
-
-
 def _check(name: str, build: Callable[[Tensor], Tensor], x0: np.ndarray,
            tol: float = PRIMITIVE_TOL) -> CheckResult:
     """Gradient of build(x) w.r.t. x against finite differences."""
@@ -68,8 +63,9 @@ def _check(name: str, build: Callable[[Tensor], Tensor], x0: np.ndarray,
         with T.no_grad():
             return build(Tensor(arr)).item()
 
-    err = max_rel_err(x.grad, finite_diff(f, x0.copy()))
-    return CheckResult(name, err, tol)
+    num = finite_diff(f, x0.copy())
+    err = np.max(np.abs(x.grad - num) / np.maximum(1.0, np.abs(num)))
+    return CheckResult(name, float(err), tol)
 
 
 def _lattice_margin(cfg: NetConfig, params: ParamSet, src: np.ndarray,
@@ -127,35 +123,19 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
                           lambda x: T.total(T.square(T.take(x, [2, 0, 2, 2]))),
                           np.linspace(-1.0, 1.0, 12).reshape(4, 3)))
 
-    # conv2d, all three arguments, at stride 2 (encoder) and 1 (fuse, head)
-    cx = rng.normal(size=(1, 2, 6, 6))
-    cw = rng.normal(size=(3, 2, 3, 3))
-    cb = rng.normal(size=3)
-    for tag, stride in (("", 2), ("_stride1", 1)):
-        def conv(x, w, b, stride=stride):
-            return T.mean(T.square(T.conv2d(x, w, b, stride, 1)))
+    # conv2d at stride 2 (encoder) and 1 (fuse, head), conv_transpose2d at
+    # stride 2 (decoder), each in input, weight and bias
+    conv = [rng.normal(size=s) for s in ((1, 2, 6, 6), (3, 2, 3, 3), 3)]
+    tconv = [rng.normal(size=s) for s in ((1, 3, 4, 4), (3, 2, 4, 4), 2)]
+    for tag, op, stride, args in (("conv2d", T.conv2d, 2, conv),
+                                  ("conv2d_stride1", T.conv2d, 1, conv),
+                                  ("conv_transpose2d", T.conv_transpose2d, 2, tconv)):
+        for i, arg in enumerate(("input", "weight", "bias")):
+            def build(x, op=op, stride=stride, args=args, i=i):
+                xs = [x if j == i else Tensor(a) for j, a in enumerate(args)]
+                return T.mean(T.square(op(*xs, stride, 1)))
 
-        results.append(_check(f"conv2d{tag}_input",
-                              lambda x: conv(x, Tensor(cw), Tensor(cb)), cx.copy()))
-        results.append(_check(f"conv2d{tag}_weight",
-                              lambda w: conv(Tensor(cx), w, Tensor(cb)), cw.copy()))
-        results.append(_check(f"conv2d{tag}_bias",
-                              lambda b: conv(Tensor(cx), Tensor(cw), b), cb.copy()))
-
-    # conv_transpose2d, all three arguments
-    tx = rng.normal(size=(1, 3, 4, 4))
-    tw = rng.normal(size=(3, 2, 4, 4))
-    tb = rng.normal(size=2)
-
-    def tconv(x, w, b):
-        return T.mean(T.square(T.conv_transpose2d(x, w, b, 2, 1)))
-
-    results.append(_check("conv_transpose2d_input",
-                          lambda x: tconv(x, Tensor(tw), Tensor(tb)), tx.copy()))
-    results.append(_check("conv_transpose2d_weight",
-                          lambda w: tconv(Tensor(tx), w, Tensor(tb)), tw.copy()))
-    results.append(_check("conv_transpose2d_bias",
-                          lambda b: tconv(Tensor(tx), Tensor(tw), b), tb.copy()))
+            results.append(_check(f"{tag}_{arg}", build, args[i]))
 
     # warp: image argument, then flow argument with off-kink coordinates
     img = rng.normal(size=(1, 5, 6))
@@ -168,19 +148,9 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
                           lambda x: T.mean(T.square(
                               L.warp_image(x, flow_fixed))), img.copy()))
 
-    fl = MotionField(Tensor(vx.copy(), requires_grad=True),
-                     Tensor(vy.copy(), requires_grad=True))
-    T.mean(T.square(L.warp_image(Tensor(img), fl))).backward()
-
-    def warp_vx(arr):
-        with T.no_grad():
-            return T.mean(T.square(L.warp_image(
-                Tensor(img), MotionField(Tensor(arr), Tensor(vy))))).item()
-
-    results.append(CheckResult("warp_flow",
-                               max_rel_err(fl.vx.grad,
-                                           finite_diff(warp_vx, vx.copy())),
-                               PRIMITIVE_TOL))
+    results.append(_check("warp_flow",
+                          lambda x: T.mean(T.square(L.warp_image(
+                              Tensor(img), MotionField(x, Tensor(vy))))), vx))
 
     # loss terms as functions of the flow
     results.append(_check("loss_smooth",
@@ -210,22 +180,15 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     weights = LossWeights()
     frames, pairs = np.concatenate([src, ref]), [(0, 1)]
 
-    tot, _ = L.loss_total(cfg, params, frames, pairs, weights)
-    tot.backward()
+    # one parameter at a time, the others held constant; the worst one counts
     arrays = params.to_arrays()
     worst = 0.0
     for name in params.names():
-        def f(arr, name=name):
-            trial = {k: v.copy() for k, v in arrays.items()}
-            trial[name] = arr
-            with T.no_grad():
-                t, _ = L.loss_total(cfg, ParamSet.from_arrays(trial),
-                                    frames, pairs, weights)
-                return t.item()
+        def loss(x, name=name):
+            theta = ParamSet({n: x if n == name else Tensor(a) for n, a in arrays.items()})
+            return L.loss_total(cfg, theta, frames, pairs, weights)[0]
 
-        err = max_rel_err(params[name].grad,
-                          finite_diff(f, arrays[name].copy()))
-        worst = max(worst, err)
+        worst = max(worst, _check(name, loss, arrays[name], NETWORK_TOL).max_rel_err)
     results.append(CheckResult("full_network_loss_total", worst, NETWORK_TOL))
 
     return results

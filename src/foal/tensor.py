@@ -7,8 +7,8 @@ topological order because an op can only consume tensors that already exist.
 Gradients are accumulated additively at fan-out points and into leaf ``.grad``
 buffers across repeated backward calls.
 
-All arithmetic is float64.  The tape is not thread-safe; confine a graph and
-its backward pass to one thread.
+All arithmetic is float64; binary ops take same-shape operands.  The tape is
+not thread-safe; confine a graph and its backward pass to one thread.
 """
 
 from __future__ import annotations
@@ -88,36 +88,9 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         tag = "leaf" if self.is_leaf else "op"
         return f"Tensor(shape={self.shape}, {tag}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
 
     def backward(self) -> None:
         backward(self)
@@ -142,8 +115,8 @@ def _record(data: np.ndarray, parents: Sequence[Tensor],
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable leaf's ``.grad``.
 
-    root must be scalar.  Repeated calls keep adding; use ``zero_grad``
-    between independent passes.
+    root must be scalar.  Repeated calls keep adding; clear the leaves'
+    ``.grad`` (``ParamSet.zero_grad``) between independent passes.
     """
     if root.data.size != 1:
         raise GradError(f"backward requires a scalar root, got shape {root.shape}")
@@ -200,14 +173,8 @@ def _binary_check(a: Tensor, b: Tensor, name: str) -> None:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape == b.shape:
-        return _record(a.data + b.data, (a, b), lambda g: (g, g))
-    # allow scalar on either side, nothing fancier
-    if a.data.size == 1:
-        return _record(a.data + b.data, (a, b), lambda g: (np.sum(g, keepdims=a.ndim > 0).reshape(a.shape), g))
-    if b.data.size == 1:
-        return _record(a.data + b.data, (a, b), lambda g: (g, np.sum(g, keepdims=b.ndim > 0).reshape(b.shape)))
-    raise ShapeError(f"add: operand shapes {a.shape} and {b.shape} differ")
+    _binary_check(a, b, "add")
+    return _record(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:

@@ -104,6 +104,17 @@ class TestOnlineAdapt:
         with pytest.raises(ValueError):
             OnlineConfig(optimizer="lbfgs")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("steps,lr,match", [
+        (3, 1e6, "step 2 diverged, loss nan"),
+        (1, np.inf, r"step 0 diverged, loss \S+, non-finite parameters \['enc1.weight'"),
+    ])
+    def test_diverging_descent_raises(self, videos, steps, lr, match):
+        base = N.init_params(CFG, seed=0)
+        ocfg = OnlineConfig(steps=steps, optimizer="sgd", learning_rate=lr)
+        with pytest.raises(A.DivergenceError, match=match):
+            A.online_adapt(CFG, base, videos[0], ocfg)
+
 
 class TestMetaInner:
     def test_zero_inner_steps_is_identity_and_no_rng_use(self, videos):
@@ -147,6 +158,13 @@ class TestMetaGradient:
         loss.backward()
         for n in theta.names():
             assert np.array_equal(grads[n], direct[n].grad)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_heldout_loss_raises(self, videos):
+        theta = N.init_params(CFG, seed=9)
+        theta["head.bias"].data[0] = np.nan
+        with pytest.raises(A.DivergenceError, match="held-out loss is nan"):
+            A.meta_gradient(CFG, theta, videos[0], [(0, 1)], W)
 
 
 class TestMetaTrainStep:

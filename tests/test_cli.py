@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -66,6 +67,16 @@ class TestSynth:
                      "--out", str(out2)]) == EXIT_OK
         for p in sorted(workspace["data"].iterdir()):
             assert (out2 / p.name).read_bytes() == p.read_bytes(), p.name
+
+    def test_relative_out_gives_a_loadable_manifest(self, workspace, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--config", str(workspace["cfg"]),
+                     "--out", "data"]) == EXIT_OK
+        split = D.load_manifest("data/manifest.json")
+        for entry in split.all_entries():
+            video, masks = D.load_entry(entry)
+            assert len(masks) == video.frame_count
 
     def test_seed_override_changes_the_data(self, workspace, tmp_path):
         out2 = tmp_path / "data3"
@@ -223,6 +234,20 @@ class TestErrorPaths:
                      "--checkpoint", str(workspace["run"] / "meta.fckp"),
                      "--out", str(out), "--adapt", "none"]) == EXIT_OK
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_adaptation_exits_1_without_metrics(self, workspace,
+                                                          tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CFG_DOC, online={
+            "steps": 3, "pairs": 4, "optimizer": "sgd", "learning_rate": 1e6})))
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg),
+                     "--manifest", str(workspace["manifest"]),
+                     "--checkpoint", str(workspace["run"] / "meta.fckp"),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert re.search(r"error: video '\w+': step \d", capsys.readouterr().err)
+        assert not (out / "metrics.csv").exists()
+
     def test_argparse_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--adapt", "bogus", "--manifest", "m",
@@ -237,6 +262,12 @@ class TestGradcheckCommand:
         assert out.count("PASS") >= 14
         assert "FAIL" not in out
         assert "all" in out
+        convs = [f"{op}_{arg}" for op in ("conv2d", "conv2d_stride1", "conv_transpose2d")
+                 for arg in ("input", "weight", "bias")]
+        assert [line.split()[1] for line in out.splitlines()[:-1]] == [
+            "elementwise_chain", "leaky_relu", "concat_slice", "take", *convs,
+            "warp_image_values", "warp_flow", "loss_smooth", "loss_consistency",
+            "full_network_loss_total"]
 
     def test_exit_code_2_on_failure(self, monkeypatch, capsys):
         from foal import cli as cli_mod

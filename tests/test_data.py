@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foal import data as D
 from foal import metrics as M
@@ -133,6 +134,40 @@ class TestVideo:
         frames[2, 1, 3] = bad
         with pytest.raises(ValueError, match=r"finite.*\[2, 1, 3\]"):
             D.Video(frames)
+
+    @pytest.mark.parametrize("spacing", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0), (1.0, 0.0)])
+    def test_spacing_must_be_finite_and_positive(self, spacing):
+        with pytest.raises(ValueError, match="spacing"):
+            Video(np.zeros((2, 3, 3)), spacing)
+        with pytest.raises(ValueError, match="spacing"):
+            LabelMask(np.zeros((3, 3)), spacing)
+
+    @pytest.mark.parametrize("make", [lambda: Video(np.zeros((2, 0, 5))),
+                                      lambda: Video(np.zeros((2, 5, 0))),
+                                      lambda: LabelMask(np.zeros((0, 3)))])
+    def test_empty_frames_rejected(self, make):
+        with pytest.raises(ValueError, match="empty"):
+            make()
+
+
+def fvid(frames, spacing=(1.0, 1.0)) -> bytes:
+    frames = np.asarray(frames, dtype="<f4")
+    return (b"FVID" + struct.pack("<4I2d", D.FORMAT_VERSION, *frames.shape, *spacing)
+            + frames.tobytes())
+
+
+def fmsk(labels, spacing=(1.0, 1.0)) -> bytes:
+    labels = np.asarray(labels, dtype=np.uint8)
+    return (b"FMSK" + struct.pack("<3I2d", D.FORMAT_VERSION, *labels.shape, *spacing)
+            + labels.tobytes())
+
+
+def fckp(arrays) -> bytes:
+    blob = b"FCKP" + struct.pack("<II", D.FORMAT_VERSION, len(arrays))
+    for name, a in arrays.items():
+        blob += struct.pack("<I", len(name)) + name.encode("utf-8")
+        blob += struct.pack(f"<{a.ndim + 1}I", a.ndim, *a.shape) + a.astype("<f8").tobytes()
+    return blob
 
 
 class TestPreprocess:
@@ -287,6 +322,86 @@ class TestBinaryRoundTrips:
         path.write_bytes(path.read_bytes() + b"zz")
         with pytest.raises(FormatError, match="trailing"):
             D.read_mask(path)
+
+    @pytest.mark.parametrize("read,blob,match", [
+        (D.read_video, fvid(np.zeros((1, 2, 2))), ">= 2 non-empty frames"),
+        (D.read_video, fvid(np.zeros((2, 0, 5))), "empty"),
+        (D.read_video, fvid(np.zeros((2, 2, 2)), (np.nan, 1.0)), "byte offset 20: pixel spacing"),
+        (D.read_video, fvid(np.zeros((2, 2, 2)), (1.0, np.inf)), "byte offset 20: pixel spacing"),
+        (D.read_mask, fmsk([[0, 7], [1, 2]]), r"labels must lie in \[0, 3\]"),
+        (D.read_mask, fmsk(np.zeros((0, 4))), "empty"),
+        (D.read_mask, fmsk(np.zeros((2, 2)), (np.inf, 1.0)), "byte offset 16: pixel spacing"),
+        (D.read_mask, fmsk(np.zeros((2, 2)), (1.0, -np.nan)), "byte offset 16: pixel spacing"),
+    ], ids=["one-frame", "empty-frames", "nan-spacing", "inf-spacing",
+            "label-7", "empty-mask", "mask-inf-spacing", "mask-nan-spacing"])
+    def test_invalid_contents_raise_format_error(self, tmp_path, read, blob, match):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=match) as err:
+            read(path)
+        assert str(path) in str(err.value)
+
+
+def _fuzz_seeds():
+    """Small valid files, the offsets of their u32 header fields and of the
+    bytes of their tensor names."""
+    return {
+        "fvid": (fvid(np.arange(24.0).reshape(2, 3, 4), (0.5, 2.0)),
+                 D.read_video, Video, (4, 8, 12, 16), ()),
+        "fmsk": (fmsk(np.arange(12).reshape(3, 4) % 4, (0.5, 2.0)),
+                 D.read_mask, LabelMask, (4, 8, 12), ()),
+        # count, then per tensor: name length, name, ndim, dims, f64 data
+        "fckp": (fckp({"enc.w": np.ones((2, 3)), "b": np.arange(2.0)}),
+                 D.read_checkpoint, N.ParamSet,
+                 (4, 8, 12, 21, 25, 29, 81, 86, 90), (16, 17, 18, 19, 20, 85)),
+    }
+
+
+FUZZ = _fuzz_seeds()
+
+
+@st.composite
+def mutated(draw, kind):
+    blob, _, _, u32s, names = FUZZ[kind]
+    b = bytearray(blob)
+    how = draw(st.sampled_from(["truncate", "flip", "huge"] + ["utf8"] * bool(names)))
+    if how == "truncate":
+        return bytes(b[:draw(st.integers(0, len(b) - 1))])
+    if how == "flip":
+        b[draw(st.integers(0, len(b) - 1))] ^= draw(st.integers(1, 255))
+    elif how == "huge":
+        i = draw(st.sampled_from(u32s))
+        b[i:i + 4] = struct.pack("<I", draw(st.integers(2 ** 16, 2 ** 32 - 1)))
+    else:
+        b[draw(st.sampled_from(names))] = draw(st.integers(0x80, 0xFF))
+    return bytes(b)
+
+
+class TestReaderFuzz:
+    """Every reader returns a valid object or raises FormatError, whatever
+    the damage to a valid file."""
+
+    @pytest.mark.parametrize("kind", sorted(FUZZ))
+    def test_seed_files_are_valid(self, tmp_path, kind):
+        blob, read, cls, _, _ = FUZZ[kind]
+        path = tmp_path / f"seed.{kind}"
+        path.write_bytes(blob)
+        assert isinstance(read(path), cls)
+
+    @pytest.mark.parametrize("kind", sorted(FUZZ))
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    def test_valid_object_or_format_error(self, tmp_path_factory, kind, data):
+        _, read, cls, _, _ = FUZZ[kind]
+        path = tmp_path_factory.getbasetemp() / f"fuzz.{kind}"
+        path.write_bytes(data.draw(mutated(kind)))
+        try:
+            obj = read(path)
+        except FormatError:
+            return
+        assert isinstance(obj, cls)
+        if cls is N.ParamSet:
+            assert all(np.isfinite(t.data).all() for _, t in obj.items())
 
 
 class TestManifest:

@@ -56,6 +56,11 @@ class TestElementwise:
         with pytest.raises(T.ShapeError, match=r"\(2, 3\)"):
             T.mul(a, b)
 
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+    def test_scalar_does_not_broadcast(self, op):
+        with pytest.raises(T.ShapeError, match=r"\(\) and \(3,\)"):
+            op(Tensor(2.0), Tensor(np.ones(3)))
+
     def test_scalar_mul_and_square(self):
         a = Tensor([1.0, -2.0, 3.0])
         assert np.array_equal(T.scalar_mul(a, -0.5).data, [-0.5, 1.0, -1.5])
