@@ -112,6 +112,13 @@ def batch_loss(cfg: NetConfig, params: ParamSet, video: Video,
     return L.loss_total(cfg, params, video.frames, pairs, weights)
 
 
+def _check_finite(what: str, loss: float, theta: ParamSet) -> None:
+    """DivergenceError led by `what` if `loss` or a parameter of theta is not finite."""
+    bad = [n for n, t in theta.items() if not np.isfinite(t.data).all()]
+    if bad or not np.isfinite(loss):
+        raise DivergenceError(f"{what} {loss}, non-finite parameters {bad}")
+
+
 def descend(cfg: NetConfig, theta: ParamSet, video: Video,
             pairs: Sequence[tuple[int, int]], weights: LossWeights,
             opt: Adam | SGD, steps: int) -> list[LossReport]:
@@ -124,10 +131,7 @@ def descend(cfg: NetConfig, theta: ParamSet, video: Video,
         loss, rep = batch_loss(cfg, theta, video, pairs, weights)
         loss.backward()
         opt.step(theta, theta.grads())
-        bad = [n for n, t in theta.items() if not np.isfinite(t.data).all()]
-        if bad or not np.isfinite(rep.total):
-            raise DivergenceError(f"video '{video.video_id}': step {step} diverged, loss "
-                                  f"{rep.total}, non-finite parameters {bad}")
+        _check_finite(f"video '{video.video_id}': step {step} diverged, loss", rep.total, theta)
         reports.append(rep)
     return reports
 
@@ -172,8 +176,7 @@ def meta_gradient(cfg: NetConfig, theta_i: ParamSet, video: Video,
     inner-loop updates."""
     theta_i.zero_grad()
     loss, rep = batch_loss(cfg, theta_i, video, heldout, weights)
-    if not np.isfinite(rep.total):
-        raise DivergenceError(f"video '{video.video_id}': held-out loss is {rep.total}")
+    _check_finite(f"video '{video.video_id}': held-out loss is", rep.total, theta_i)
     loss.backward()
     return {n: theta_i[n].grad.copy() for n in theta_i.names()}, rep
 
@@ -181,7 +184,8 @@ def meta_gradient(cfg: NetConfig, theta_i: ParamSet, video: Video,
 def meta_train_step(cfg: NetConfig, theta: ParamSet, videos: Sequence[Video],
                     mcfg: MetaConfig, weights: LossWeights, meta_opt: Adam,
                     rng: np.random.Generator, step: int) -> MetaStepRecord:
-    """One outer update of the shared initialization.
+    """One outer update of the shared initialization; DivergenceError if it
+    leaves a parameter non-finite.
 
     rng consumption order, relied on for reproducibility: video choice,
     then per chosen video an inner batch (if inner_steps > 0) followed by a
@@ -209,11 +213,13 @@ def meta_train_step(cfg: NetConfig, theta: ParamSet, videos: Sequence[Video],
 
     meta_opt.step(theta, accum)
     mean = lambda xs: float(np.mean(xs))
-    return MetaStepRecord(step=step, heldout=LossReport(
+    rec = MetaStepRecord(step=step, heldout=LossReport(
         mse=mean([r.mse for r in reports]),
         smooth=mean([r.smooth for r in reports]),
         consistency=mean([r.consistency for r in reports]),
         total=mean([r.total for r in reports])))
+    _check_finite(f"meta step {step} diverged, held-out loss", rec.heldout.total, theta)
+    return rec
 
 
 def meta_train(cfg: NetConfig, theta0: ParamSet, videos: Sequence[Video],

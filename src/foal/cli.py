@@ -17,7 +17,6 @@ import argparse
 import csv
 import dataclasses
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -58,23 +57,6 @@ def _load_config(args) -> C.RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        env = os.environ.get("FOAL_THREADS", "")
-        if env:
-            try:
-                n = int(env)
-            except ValueError:
-                raise ValueError(f"FOAL_THREADS must be an integer, got {env!r}")
-        else:
-            n = 1
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    return n
 
 
 def _validate_checkpoint(cfg: C.RunConfig, params) -> None:
@@ -251,9 +233,11 @@ def cmd_eval(args) -> int:
     entries = split.test_inside + split.test_outside
     if not entries:
         raise ValueError("manifest has no test videos")
+    if args.threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {args.threads}")
     params = D.read_checkpoint(args.checkpoint)
     _validate_checkpoint(cfg, params)
-    with ThreadPoolExecutor(max_workers=_resolve_threads(args)) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         results = list(pool.map(partial(_eval_one, cfg, params, args.adapt),
                                 range(len(entries)), entries))
 
@@ -290,7 +274,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_suite(seed=args.seed if args.seed is not None else 0)
+    results = run_suite(seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.name:28s} max_rel_err {r.max_rel_err:.3e} "
@@ -308,12 +292,10 @@ def build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, config=True, seed=True):
-        if config:
-            sp.add_argument("--config", help="JSON run configuration")
-        if seed:
-            sp.add_argument("--seed", type=int,
-                            help="override the configured seed")
+    def common(sp):
+        sp.add_argument("--config", help="JSON run configuration")
+        sp.add_argument("--seed", type=int,
+                        help="override the configured seed")
 
     sp = sub.add_parser("synth", help="render a phantom dataset")
     common(sp)
@@ -334,17 +316,18 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_meta_train)
 
     sp = sub.add_parser("eval", help="adapt per video and report metrics")
-    common(sp)
+    sp.add_argument("--config", help="JSON run configuration")
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--adapt", choices=("none", "foal"), default="foal")
-    sp.add_argument("--threads", type=int,
-                    help="worker threads (default: FOAL_THREADS or 1)")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads, one video each (default: 1)")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    common(sp, config=False)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the random inputs and weights checked (default: 0)")
     sp.set_defaults(func=cmd_gradcheck)
 
     return p

@@ -2,8 +2,8 @@
 
 Parsing rejects unknown keys anywhere in the tree so that a typo like
 "learning_rte" fails loudly instead of silently training with a default.
-Lists coerce to tuples and every float must be finite (JSON admits NaN and
-Infinity); range validation lives in each dataclass's __post_init__.
+Each value must have its default's type (lists become tuples) and every
+float must be finite; range validation lives in each __post_init__.
 """
 
 from __future__ import annotations
@@ -106,11 +106,17 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
 
-def _coerce(value, where: str):
-    if isinstance(value, list):
-        return tuple(_coerce(v, f"{where}[{i}]") for i, v in enumerate(value))
+def _leaf(value, proto, where: str):
+    """`value` checked against the type of its default `proto`: lists become tuples
+    checked per element, an int takes no bool or float, a float any finite number."""
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where}: {value} is not a finite number")
+    if isinstance(proto, tuple) and isinstance(value, list):
+        return tuple(_leaf(v, proto[0], f"{where}[{i}]") for i, v in enumerate(value))
+    want = (int, float) if isinstance(proto, float) else type(proto)
+    if isinstance(value, bool) or not isinstance(value, want):
+        raise ConfigError(f"{where}: expected {type(proto).__name__}, "
+                          f"got {type(value).__name__} {value!r}")
     return value
 
 
@@ -132,7 +138,7 @@ def _build(dc_type, obj, where: str):
         if is_dataclass(proto):
             kwargs[name] = _build(type(proto), value, f"{where}.{name}")
         else:
-            kwargs[name] = _coerce(value, f"{where}.{name}")
+            kwargs[name] = _leaf(value, proto, f"{where}.{name}")
     try:
         return dc_type(**kwargs)
     except (TypeError, ValueError) as e:

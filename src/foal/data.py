@@ -31,6 +31,9 @@ NUM_LABELS = 4
 
 FORMAT_VERSION = 1
 
+# phantom intensity per tissue, before the ramp and noise
+INTENSITY_BG, INTENSITY_RV, INTENSITY_MYO, INTENSITY_LV = 30.0, 120.0, 70.0, 200.0
+
 
 class FormatError(ValueError):
     """Malformed binary file; message names the file and any byte offset."""
@@ -101,10 +104,6 @@ class PhantomParams:
     contraction_amplitude: float = 0.25
     noise_sigma: float = 2.0
     intensity_gradient: float = 0.0
-    intensity_bg: float = 30.0
-    intensity_rv: float = 120.0
-    intensity_myo: float = 70.0
-    intensity_lv: float = 200.0
     pixel_spacing_mm: tuple[float, float] = (1.0, 1.0)
     seed: int = 0
 
@@ -177,10 +176,10 @@ def generate_phantom(p: PhantomParams) -> tuple[Video, list[LabelMask],
         w_out = cov(r - (p.lv_radius + p.myo_thickness))
         w_myo = w_out * (1.0 - w_lv)
         w_rv = cov(r_rv - p.rv_radius) * (1.0 - w_out)
-        img = (p.intensity_bg
-               + (p.intensity_lv - p.intensity_bg) * w_lv
-               + (p.intensity_myo - p.intensity_bg) * w_myo
-               + (p.intensity_rv - p.intensity_bg) * w_rv) * ramp
+        img = (INTENSITY_BG
+               + (INTENSITY_LV - INTENSITY_BG) * w_lv
+               + (INTENSITY_MYO - INTENSITY_BG) * w_myo
+               + (INTENSITY_RV - INTENSITY_BG) * w_rv) * ramp
         if p.noise_sigma > 0:
             img = img + rng.normal(0.0, p.noise_sigma, size=img.shape)
         frames[t] = img
@@ -423,15 +422,21 @@ def load_manifest(path) -> DatasetSplit:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: not valid JSON ({e})") from e
-    if not isinstance(doc, dict) or "videos" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("videos"), list):
         raise FormatError(f"{path}: manifest must be an object with a 'videos' list")
 
     out = DatasetSplit()
     seen: set[str] = set()
     for i, row in enumerate(doc["videos"]):
+        if not isinstance(row, dict):
+            raise FormatError(f"{path}: entry {i} is not an object")
         missing = {"id", "video", "masks", "category", "split"} - set(row)
         if missing:
             raise FormatError(f"{path}: entry {i} missing keys {sorted(missing)}")
+        texts = [row[k] for k in ("id", "video", "category", "split")]
+        masks = row["masks"] if isinstance(row["masks"], list) else [None]
+        if not all(isinstance(v, str) for v in texts + masks):
+            raise FormatError(f"{path}: entry {i} needs string values, 'masks' a list of them")
         if row["split"] not in SPLIT_NAMES:
             raise FormatError(f"{path}: entry {i} has unknown split "
                               f"'{row['split']}', expected one of {SPLIT_NAMES}")
@@ -441,7 +446,7 @@ def load_manifest(path) -> DatasetSplit:
         entry = ManifestEntry(
             video_id=row["id"],
             video_path=path.parent / row["video"],
-            mask_paths=[path.parent / m for m in row["masks"]],
+            mask_paths=[path.parent / m for m in masks],
             category=row["category"],
             split=row["split"],
         )

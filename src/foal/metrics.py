@@ -84,12 +84,9 @@ def contour_points(mask: LabelMask, label: int) -> np.ndarray:
     return np.argwhere(edge)
 
 
-def hausdorff(a: LabelMask, b: LabelMask, label: int,
-              symmetric: bool = True) -> float:
-    """Contour-to-contour Hausdorff distance in millimetres.
-
-    Directed form: max over a's contour of the distance to the nearest b
-    contour point. The symmetric default takes the max of both directions.
+def hausdorff(a: LabelMask, b: LabelMask, label: int) -> float:
+    """Symmetric contour-to-contour Hausdorff distance in millimetres: the
+    max over both contours of the distance to the nearest point of the other.
     NaN when either contour is empty.
     """
     if a.labels.shape != b.labels.shape:
@@ -106,11 +103,7 @@ def hausdorff(a: LabelMask, b: LabelMask, label: int,
     pa = ca * scale
     pb = cb * scale
     d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-    fwd = float(np.sqrt(d2.min(axis=1).max()))
-    if not symmetric:
-        return fwd
-    bwd = float(np.sqrt(d2.min(axis=0).max()))
-    return max(fwd, bwd)
+    return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 
 def evaluate_video(cfg: NetConfig, params: ParamSet, video: Video,

@@ -20,10 +20,14 @@ import numpy as np
 from foal import tensor as T
 from foal.tensor import ShapeError, Tensor
 
+KERNEL = 3  # odd, so pad k // 2 keeps the size at stride 1
+UP_KERNEL = 4  # with stride 2 and pad k/2 - 1, an even k >= 4 doubles the size exactly
+LEAKY_SLOPE = 0.1
+
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture hyperparameters.
+    """Architecture hyperparameters (kernels and slope are module constants).
 
     encoder_channels lists the output width of each stride-2 encoder block;
     the decoder mirrors it. input_size is (height, width) and must be
@@ -32,9 +36,6 @@ class NetConfig:
 
     input_size: tuple[int, int] = (32, 32)
     encoder_channels: tuple[int, ...] = (16, 32, 64)
-    kernel: int = 3
-    up_kernel: int = 4
-    leaky_slope: float = 0.1
 
     def __post_init__(self):
         if not self.encoder_channels:
@@ -44,13 +45,6 @@ class NetConfig:
         if self.encoder_channels[0] % 2:
             raise ValueError("first encoder width must be even (the last decoder "
                              f"stage halves it), got {self.encoder_channels[0]}")
-        if self.kernel % 2 != 1 or self.kernel < 1:
-            raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
-        if self.up_kernel % 2 or self.up_kernel < 4:
-            # with pad = k/2 - 1 and stride 2, even k >= 4 doubles exactly
-            raise ValueError(f"up_kernel must be even and >= 4, got {self.up_kernel}")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
         h, w = self.input_size
         f = 2 ** len(self.encoder_channels)
         if h % f or w % f or h < f or w < f:
@@ -139,19 +133,18 @@ class MotionField:
 def _layer_plan(cfg: NetConfig) -> list[tuple[str, str, tuple[int, ...]]]:
     """(name, kind, weight_shape) for every layer, in forward order."""
     chans = cfg.encoder_channels
-    k, uk = cfg.kernel, cfg.up_kernel
     plan = []
     cin = 1
     for i, c in enumerate(chans, start=1):
-        plan.append((f"enc{i}", "conv", (c, cin, k, k)))
+        plan.append((f"enc{i}", "conv", (c, cin, KERNEL, KERNEL)))
         cin = c
-    plan.append(("fuse", "conv", (chans[-1], 2 * chans[-1], k, k)))
+    plan.append(("fuse", "conv", (chans[-1], 2 * chans[-1], KERNEL, KERNEL)))
     up_out = list(chans[:-1][::-1]) + [chans[0] // 2]
     cin = chans[-1]
     for i, c in enumerate(up_out, start=1):
-        plan.append((f"up{i}", "convt", (cin, c, uk, uk)))
+        plan.append((f"up{i}", "convt", (cin, c, UP_KERNEL, UP_KERNEL)))
         cin = c
-    plan.append(("head", "conv", (2, cin, k, k)))
+    plan.append(("head", "conv", (2, cin, KERNEL, KERNEL)))
     return plan
 
 
@@ -185,8 +178,8 @@ def encode(cfg: NetConfig, params: ParamSet, frames) -> Tensor:
     h = T.reshape(h, (h.shape[0], 1) + h.shape[1:])
     for i in range(1, cfg.depth + 1):
         h = T.conv2d(h, params[f"enc{i}.weight"], params[f"enc{i}.bias"],
-                     stride=2, pad=cfg.kernel // 2)
-        h = T.leaky_relu(h, cfg.leaky_slope)
+                     stride=2, pad=KERNEL // 2)
+        h = T.leaky_relu(h, LEAKY_SLOPE)
     return h
 
 
@@ -194,17 +187,17 @@ def decode(cfg: NetConfig, params: ParamSet, feat_src: Tensor, feat_ref: Tensor,
            src, ref) -> MotionField:
     """[N,H,W] motion field of the pairs (feat_src[src[i]], feat_ref[ref[i]])
     of two [T,C,h,w] feature stacks."""
-    c, k = cfg.encoder_channels[-1], cfg.kernel
+    c, k = cfg.encoder_channels[-1], KERNEL
     w = T.reshape(params["fuse.weight"], (2 * c, c, k, k))  # row 2o + h: half h of output o
     h_src = T.conv2d(feat_src, T.take(w, np.arange(0, 2 * c, 2)), params["fuse.bias"], 1, k // 2)
     h_ref = T.conv2d(feat_ref, T.take(w, np.arange(1, 2 * c, 2)), np.zeros(c), 1, k // 2)
-    h = T.leaky_relu(T.add(T.take(h_src, src), T.take(h_ref, ref)), cfg.leaky_slope)
+    h = T.leaky_relu(T.add(T.take(h_src, src), T.take(h_ref, ref)), LEAKY_SLOPE)
     for i in range(1, cfg.depth + 1):
         h = T.conv_transpose2d(h, params[f"up{i}.weight"], params[f"up{i}.bias"],
-                               stride=2, pad=cfg.up_kernel // 2 - 1)
-        h = T.leaky_relu(h, cfg.leaky_slope)
+                               stride=2, pad=UP_KERNEL // 2 - 1)
+        h = T.leaky_relu(h, LEAKY_SLOPE)
     out = T.conv2d(h, params["head.weight"], params["head.bias"],
-                   stride=1, pad=cfg.kernel // 2)
+                   stride=1, pad=k // 2)
     return MotionField(T.take_channel(out, 0), T.take_channel(out, 1))
 
 

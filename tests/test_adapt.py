@@ -1,5 +1,7 @@
 """Online adaptation and meta-learning loops."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,15 @@ class TestMetaTrainStep:
         assert np.isfinite(rec.heldout.total)
         assert any(not np.array_equal(theta[n].data, before[n])
                    for n in theta.names())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_update_raises(self, videos):
+        theta = N.init_params(CFG, seed=10)
+        mcfg = MetaConfig(videos_per_step=2, inner_steps=1, pairs=4, meta_steps=1)
+        with pytest.raises(A.DivergenceError, match=r"meta step 3 diverged, held-out loss "
+                           r"[0-9.e-]+, non-finite parameters \['enc1.weight', "):
+            A.meta_train_step(CFG, theta, videos[:2], mcfg, W, Adam(math.inf),
+                              np.random.default_rng(4), step=3)
 
     def test_zero_inner_steps_degenerates_to_plain_step(self, videos):
         """With no inner updates a meta step is exactly an Adam step on the

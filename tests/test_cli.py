@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import os
 import re
 
 import pytest
@@ -217,22 +216,40 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         assert "unknown keys" in capsys.readouterr().err
 
-    def test_bad_threads_env(self, workspace, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FOAL_THREADS", "banana")
+    def test_zero_threads_rejected(self, workspace, tmp_path, capsys):
         code = main(["eval", "--config", str(workspace["cfg"]),
                      "--manifest", str(workspace["manifest"]),
                      "--checkpoint", str(workspace["run"] / "meta.fckp"),
+                     "--out", str(tmp_path / "x"), "--threads", "0"])
+        assert code == EXIT_USAGE
+        assert "error: thread count must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_eval_takes_no_seed(self, workspace, tmp_path, capsys):
+        # adaptation draws from the configured online.seed, so a --seed that
+        # eval would ignore is a usage error instead
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", str(workspace["cfg"]),
+                  "--manifest", str(workspace["manifest"]),
+                  "--checkpoint", str(workspace["run"] / "meta.fckp"),
+                  "--out", str(tmp_path / "x"), "--seed", "3"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("videos", [5, {"video": 3}, {"id": ["a"]}, {"masks": 7}])
+    def test_malformed_manifest_exits_1(self, workspace, tmp_path, capsys, videos):
+        if isinstance(videos, dict):
+            videos = [{"id": "a", "video": "a.fvid", "masks": [], "category": "inside",
+                       "split": "test_inside", **videos}]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"videos": videos}))
+        code = main(["eval", "--config", str(workspace["cfg"]),
+                     "--manifest", str(manifest),
+                     "--checkpoint", str(workspace["run"] / "meta.fckp"),
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
-        assert "FOAL_THREADS" in capsys.readouterr().err
-
-    def test_threads_env_is_honoured(self, workspace, tmp_path, monkeypatch):
-        monkeypatch.setenv("FOAL_THREADS", "2")
-        out = tmp_path / "eval"
-        assert main(["eval", "--config", str(workspace["cfg"]),
-                     "--manifest", str(workspace["manifest"]),
-                     "--checkpoint", str(workspace["run"] / "meta.fckp"),
-                     "--out", str(out), "--adapt", "none"]) == EXIT_OK
+        assert f"error: {manifest}" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_adaptation_exits_1_without_metrics(self, workspace,

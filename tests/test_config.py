@@ -48,6 +48,9 @@ class TestStrictness:
     def test_unknown_nested_key_names_the_path(self):
         with pytest.raises(ConfigError, match=r"config\.net: unknown keys"):
             C.from_dict({"net": {"learning_rte": 1}})
+        # the kernel sizes and slope are module constants, not settings
+        with pytest.raises(ConfigError, match=r"config\.net: unknown keys \['kernel'\]"):
+            C.from_dict({"net": {"kernel": 3}})
         with pytest.raises(ConfigError,
                            match=r"config\.synth\.inside: unknown keys"):
             C.from_dict({"synth": {"inside": {"radius": [1, 2]}}})
@@ -76,6 +79,33 @@ class TestStrictness:
     def test_non_finite_number_names_the_path(self, doc, path):
         with pytest.raises(ConfigError, match=re.escape(path) + ": .* is not a finite number"):
             C.from_dict(doc)
+
+    @pytest.mark.parametrize("doc,path,want", [
+        ({"seed": "x"}, "config.seed", "int, got str 'x'"),
+        ({"seed": 1.0}, "config.seed", "int, got float 1.0"),
+        ({"synth": {"count_test_inside": 1.5}}, "config.synth.count_test_inside",
+         "int, got float 1.5"),
+        ({"online": {"pairs": True}}, "config.online.pairs", "int, got bool True"),
+        ({"online": {"learning_rate": False}}, "config.online.learning_rate",
+         "float, got bool False"),
+        ({"online": {"optimizer": 1}}, "config.online.optimizer", "str, got int 1"),
+        ({"net": {"input_size": 32}}, "config.net.input_size", "tuple, got int 32"),
+        ({"net": {"encoder_channels": [4, 8.0]}}, "config.net.encoder_channels[1]",
+         "int, got float 8.0"),
+        ({"synth": {"pixel_spacing_mm": [1.0, "1"]}}, "config.synth.pixel_spacing_mm[1]",
+         "float, got str '1'"),
+        ({"synth": {"inside": {"noise_sigma": [2.0]}}}, "config.synth.inside.noise_sigma",
+         "float, got list [2.0]"),
+    ])
+    def test_wrong_type_names_the_path(self, doc, path, want):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: expected {want}")):
+            C.from_dict(doc)
+
+    def test_numbers_of_either_kind_fill_float_fields(self):
+        cfg = C.from_dict({"online": {"learning_rate": 1},
+                           "synth": {"inside": {"lv_radius": [6, 7.5]}}})
+        assert cfg.online.learning_rate == 1
+        assert cfg.synth.inside.lv_radius == (6, 7.5)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_json_literal_rejected(self, tmp_path, literal):

@@ -1,5 +1,7 @@
 """Phantom generation, preprocessing, and binary round-trips."""
 
+import json
+import re
 import struct
 
 import numpy as np
@@ -452,6 +454,25 @@ class TestManifest:
             '{"videos": [{"id": "a", "video": "a.fvid"}]}')
         with pytest.raises(FormatError, match="missing keys"):
             D.load_manifest(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("doc,where", [
+        ({"videos": 5}, "manifest must be an object with a 'videos' list"),
+        ({"videos": [5]}, "entry 0 is not an object"),
+        ({"videos": [{"video": 3}]}, "entry 0 needs string values"),
+        ({"videos": [{"id": ["a"]}]}, "entry 0 needs string values"),
+        ({"videos": [{}, {"masks": 7}]}, "entry 1 needs string values"),
+        ({"videos": [{"masks": ["a_m0.fmsk", 7]}]}, "entry 0 needs string values"),
+    ])
+    def test_mistyped_values_rejected(self, tmp_path, doc, where):
+        good = {"id": "a", "video": "a.fvid", "masks": [], "category": "inside",
+                "split": "test_inside"}
+        if isinstance(doc["videos"], list):
+            doc = {"videos": [{**good, "id": f"v{i}", **e} if isinstance(e, dict) else e
+                              for i, e in enumerate(doc["videos"])]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {where}")):
+            D.load_manifest(path)
 
     def test_invalid_json_rejected(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{nope")

@@ -240,10 +240,10 @@ def concat_fuse_loss(cfg, params, frames, pairs, w):
     h = T.concat_channels([T.take(feat, np.concatenate([src, ref])),
                            T.take(feat, np.concatenate([ref, src]))])
     h = T.leaky_relu(T.conv2d(h, params["fuse.weight"], params["fuse.bias"], 1, 1),
-                     cfg.leaky_slope)
+                     N.LEAKY_SLOPE)
     for i in range(1, cfg.depth + 1):
         h = T.leaky_relu(T.conv_transpose2d(h, params[f"up{i}.weight"],
-                                            params[f"up{i}.bias"], 2, 1), cfg.leaky_slope)
+                                            params[f"up{i}.bias"], 2, 1), N.LEAKY_SLOPE)
     out = T.conv2d(h, params["head.weight"], params["head.bias"], 1, 1)
     fwd, bwd = (MotionField(T.take_channel(T.take(out, rows), 0),
                             T.take_channel(T.take(out, rows), 1))

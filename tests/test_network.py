@@ -176,11 +176,11 @@ class TestSharedEncoderGradients:
             h = T.concat_channels([fs, fr])
             h = T.leaky_relu(T.conv2d(h, Tensor(p["fuse.weight"].data),
                                       Tensor(p["fuse.bias"].data), 1, 1),
-                             cfg.leaky_slope)
+                             N.LEAKY_SLOPE)
             for i in (1, 2):
                 h = T.leaky_relu(T.conv_transpose2d(
                     h, Tensor(p[f"up{i}.weight"].data),
-                    Tensor(p[f"up{i}.bias"].data), 2, 1), cfg.leaky_slope)
+                    Tensor(p[f"up{i}.bias"].data), 2, 1), N.LEAKY_SLOPE)
             out = T.conv2d(h, Tensor(p["head.weight"].data),
                            Tensor(p["head.bias"].data), 1, 1)
             vx, vy = T.take_channel(out, 0), T.take_channel(out, 1)
