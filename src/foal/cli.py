@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 
-_EVAL_LABELS = (D.RV, D.MYO, D.LV)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; we reserve 2 for failed checks."""
@@ -109,13 +107,11 @@ def cmd_synth(args) -> int:
               "test_outside": sc.count_test_outside}
     split = D.DatasetSplit()
     for split_name in D.SPLIT_NAMES:
-        outside = split_name == "test_outside"
-        group = sc.outside if outside else sc.inside
-        category = "outside" if outside else "inside"
+        group = sc.outside if split_name == "test_outside" else sc.inside
         for i in range(counts[split_name]):
             p = _draw_phantom(sc, group, rng)
             video, masks, _ = D.generate_phantom(p)
-            video = D.preprocess(video, (sc.height, sc.width))
+            video = D.preprocess(video)
             vid = f"{split_name}_{i:03d}"
             vpath = out / f"{vid}.fvid"
             D.write_video(vpath, video)
@@ -125,7 +121,7 @@ def cmd_synth(args) -> int:
                 D.write_mask(mp, m)
                 mpaths.append(mp)
             split.of(split_name).append(
-                D.ManifestEntry(vid, vpath, mpaths, category, split_name))
+                D.ManifestEntry(vid, vpath, mpaths, split_name))
     D.save_manifest(out / "manifest.json", split)
     print(f"wrote {len(split.all_entries())} videos and "
           f"{out / 'manifest.json'}")
@@ -201,14 +197,15 @@ def _eval_one(cfg: C.RunConfig, params, adapt: str, idx: int,
     return evaluate_video(cfg.net, theta, video, masks), adapt_ms
 
 
-def _aggregate(rows: list[dict], category: str, label: int) -> list[list]:
-    mine = [r for r in rows if r["category"] == category
-            and r["label"] == label]
-    if not mine:
-        return []
+def _aggregate(mine: list[dict]) -> list[list]:
+    """Mean and std rows over the per-video rows of one category and label.
+    NaN Hausdorff distances leave the Hausdorff mean and std; the
+    hausdorff_excluded column counts them."""
+    category, label = mine[0]["category"], mine[0]["label"]
     dices = [r["dice"] for r in mine]
-    hauss = [r["hausdorff_mm"] for r in mine if not math.isnan(r["hausdorff_mm"])]
+    hauss = [r["hausdorff_mm"] for r in mine if not r["hausdorff_excluded"]]
     n_present = sum(r["present"] for r in mine)
+    n_excluded = sum(r["hausdorff_excluded"] for r in mine)
 
     def mean(v):
         return sum(v) / len(v) if v else float("nan")
@@ -221,9 +218,9 @@ def _aggregate(rows: list[dict], category: str, label: int) -> list[list]:
 
     return [
         [f"{category}_mean", category, label, n_present,
-         _fmt(mean(dices)), _fmt(mean(hauss))],
+         _fmt(mean(dices)), _fmt(mean(hauss)), n_excluded],
         [f"{category}_std", category, label, n_present,
-         _fmt(std(dices)), _fmt(std(hauss))],
+         _fmt(std(dices)), _fmt(std(hauss)), n_excluded],
     ]
 
 
@@ -242,18 +239,24 @@ def cmd_eval(args) -> int:
                                 range(len(entries)), entries))
 
     rows: list[dict] = []
+    groups: dict[tuple[str, int], list[dict]] = {}
     for entry, (report, adapt_ms) in zip(entries, results):
         # wall time goes to stdout only; the CSV stays machine-comparable
         timing = "no adaptation" if adapt_ms is None else f"adapt {adapt_ms:7.1f} ms"
         mean_dice = sum(report.dice.values()) / len(report.dice)
         print(f"{entry.video_id}: {timing}, mean dice {mean_dice:.4f}")
-        for lab in _EVAL_LABELS:
-            rows.append({"video_id": entry.video_id,
-                         "category": entry.category,
-                         "label": lab,
-                         "present": int(report.present[lab]),
-                         "dice": report.dice[lab],
-                         "hausdorff_mm": report.hausdorff_mm[lab]})
+        # the population a video is scored in follows from its split alone
+        category = "outside" if entry.split == "test_outside" else "inside"
+        for lab in report.dice:
+            row = {"video_id": entry.video_id,
+                   "category": category,
+                   "label": lab,
+                   "present": int(report.present[lab]),
+                   "dice": report.dice[lab],
+                   "hausdorff_mm": report.hausdorff_mm[lab],
+                   "hausdorff_excluded": int(math.isnan(report.hausdorff_mm[lab]))}
+            rows.append(row)
+            groups.setdefault((category, lab), []).append(row)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,14 +264,13 @@ def cmd_eval(args) -> int:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["video_id", "category", "label", "present",
-                    "dice", "hausdorff_mm"])
+                    "dice", "hausdorff_mm", "hausdorff_excluded"])
         for r in rows:
             w.writerow([r["video_id"], r["category"], r["label"],
-                        r["present"], _fmt(r["dice"]), _fmt(r["hausdorff_mm"])])
-        for category in ("inside", "outside"):
-            for lab in _EVAL_LABELS:
-                for row in _aggregate(rows, category, lab):
-                    w.writerow(row)
+                        r["present"], _fmt(r["dice"]), _fmt(r["hausdorff_mm"]),
+                        r["hausdorff_excluded"]])
+        for mine in groups.values():
+            w.writerows(_aggregate(mine))
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -23,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from foal.network import MotionField, ParamSet
-from foal.tensor import Tensor
+from foal.network import ParamSet
 
 BACKGROUND, RV, MYO, LV = 0, 1, 2, 3
 NUM_LABELS = 4
@@ -137,13 +136,13 @@ def _scale_at(t: int, frame_count: int, amplitude: float) -> float:
     return 1.0 - amplitude * float(np.sin(np.pi * t / (frame_count - 1)))
 
 
-def generate_phantom(p: PhantomParams) -> tuple[Video, list[LabelMask],
-                                                list[MotionField]]:
+def generate_phantom(p: PhantomParams) -> tuple[
+        Video, list[LabelMask], list[tuple[np.ndarray, np.ndarray]]]:
     """Render one phantom video with per-frame masks and exact flow fields.
 
-    The returned flow for frame t maps frame-t pixel coordinates back into
-    frame 0: V(q) = (q - c) * (1/s(t) - 1), which is what a backward warp of
-    frame 0 needs to reproduce frame t.
+    The flow for frame t is a (vx, vy) pair of [H,W] float64 arrays that maps
+    frame-t pixel coordinates back into frame 0: V(q) = (q - c) * (1/s(t) - 1),
+    which is what a backward warp of frame 0 needs to reproduce frame t.
     """
     cx, cy = (p.width - 1) / 2.0, (p.height - 1) / 2.0
     crx = cx - p.rv_offset
@@ -155,7 +154,7 @@ def generate_phantom(p: PhantomParams) -> tuple[Video, list[LabelMask],
 
     frames = np.empty((p.frame_count, p.height, p.width), dtype=np.float64)
     masks: list[LabelMask] = []
-    flows: list[MotionField] = []
+    flows: list[tuple[np.ndarray, np.ndarray]] = []
     for t in range(p.frame_count):
         s = _scale_at(t, p.frame_count, p.contraction_amplitude)
         # pull each pixel back to its reference-frame position
@@ -185,24 +184,20 @@ def generate_phantom(p: PhantomParams) -> tuple[Video, list[LabelMask],
         frames[t] = img
 
         k = 1.0 / s - 1.0
-        flows.append(MotionField(Tensor((x - cx) * k + 0.0 * y),
-                                 Tensor((y - cy) * k + 0.0 * x)))
+        flows.append(((x - cx) * k + 0.0 * y, (y - cy) * k + 0.0 * x))
 
     video = Video(frames.astype(np.float32), p.pixel_spacing_mm,
                   video_id=f"phantom-{p.seed}")
     return video, masks, flows
 
 
-def preprocess(video: Video, target_size: tuple[int, int]) -> Video:
-    """Rescale intensities to [0, 255] globally, then center-crop or
-    zero-pad each frame to target_size.
+def preprocess(video: Video) -> Video:
+    """Rescale intensities to [0, 255] over the whole video; frame size and
+    spacing are kept.
 
     A constant video cannot be rescaled; it becomes all zeros with a warning
     instead of dividing by zero.
     """
-    th, tw = target_size
-    if th < 1 or tw < 1:
-        raise ValueError(f"target size must be positive, got {target_size}")
     frames = video.frames.astype(np.float64)
     lo, hi = float(frames.min()), float(frames.max())
     if hi > lo:
@@ -211,15 +206,7 @@ def preprocess(video: Video, target_size: tuple[int, int]) -> Video:
         warnings.warn(f"video '{video.video_id}' has constant intensity; "
                       "emitting zeros", stacklevel=2)
         frames = np.zeros_like(frames)
-
-    t, h, w = frames.shape
-    out = np.zeros((t, th, tw), dtype=np.float64)
-    ch, cw = min(h, th), min(w, tw)
-    src_y, src_x = (h - ch) // 2, (w - cw) // 2
-    dst_y, dst_x = (th - ch) // 2, (tw - cw) // 2
-    out[:, dst_y:dst_y + ch, dst_x:dst_x + cw] = \
-        frames[:, src_y:src_y + ch, src_x:src_x + cw]
-    return Video(out.astype(np.float32), video.pixel_spacing_mm, video.video_id)
+    return Video(frames.astype(np.float32), video.pixel_spacing_mm, video.video_id)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +358,6 @@ class ManifestEntry:
     video_id: str
     video_path: Path
     mask_paths: list[Path]
-    category: str
     split: str
 
 
@@ -410,7 +396,6 @@ def save_manifest(path, split: DatasetSplit) -> None:
             "id": e.video_id,
             "video": _manifest_rel(e.video_path, root),
             "masks": [_manifest_rel(m, root) for m in e.mask_paths],
-            "category": e.category,
             "split": e.split,
         })
     Path(path).write_text(json.dumps({"videos": entries}, indent=2) + "\n")
@@ -430,10 +415,10 @@ def load_manifest(path) -> DatasetSplit:
     for i, row in enumerate(doc["videos"]):
         if not isinstance(row, dict):
             raise FormatError(f"{path}: entry {i} is not an object")
-        missing = {"id", "video", "masks", "category", "split"} - set(row)
+        missing = {"id", "video", "masks", "split"} - set(row)
         if missing:
             raise FormatError(f"{path}: entry {i} missing keys {sorted(missing)}")
-        texts = [row[k] for k in ("id", "video", "category", "split")]
+        texts = [row[k] for k in ("id", "video", "split")]
         masks = row["masks"] if isinstance(row["masks"], list) else [None]
         if not all(isinstance(v, str) for v in texts + masks):
             raise FormatError(f"{path}: entry {i} needs string values, 'masks' a list of them")
@@ -447,7 +432,6 @@ def load_manifest(path) -> DatasetSplit:
             video_id=row["id"],
             video_path=path.parent / row["video"],
             mask_paths=[path.parent / m for m in masks],
-            category=row["category"],
             split=row["split"],
         )
         out.of(row["split"]).append(entry)

@@ -17,7 +17,7 @@ from foal import network as N
 from foal import tensor as T
 from foal.data import LabelMask, NUM_LABELS, Video
 from foal.losses import bilinear_gather
-from foal.network import MotionField, NetConfig, ParamSet
+from foal.network import NetConfig, ParamSet
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,17 @@ class MetricsReport:
     present: dict[int, bool]
 
 
-def warp_mask(mask: LabelMask, flow: MotionField) -> LabelMask:
-    """Backward-warp a label image along an [H,W] flow (one pair, unbatched).
+def warp_mask(mask: LabelMask, vx: np.ndarray, vy: np.ndarray) -> LabelMask:
+    """Backward-warp a label image along one flow given as [H,W] arrays of
+    horizontal and vertical displacement in pixels.
 
     Labels are one-hot encoded, each plane is sampled bilinearly with the
     same border-clamp rule as image warping, and the result is re-labelled
     by argmax (ties resolve to the lowest label index).
     """
     labels = mask.labels
-    vx, vy = flow.arrays()
-    if vx.shape != labels.shape:
-        raise ValueError(f"flow shape {vx.shape} != mask shape {labels.shape}")
+    if not vx.shape == vy.shape == labels.shape:
+        raise ValueError(f"flow shapes {vx.shape} and {vy.shape} != mask shape {labels.shape}")
     h, w = labels.shape
     sx = vx + np.arange(w, dtype=np.float64)[None, :]
     sy = vy + np.arange(h, dtype=np.float64)[:, None]
@@ -107,28 +107,23 @@ def hausdorff(a: LabelMask, b: LabelMask, label: int) -> float:
 
 
 def evaluate_video(cfg: NetConfig, params: ParamSet, video: Video,
-                   masks: list[LabelMask], source_index: int | None = None,
-                   reference_index: int | None = None) -> MetricsReport:
+                   masks: list[LabelMask]) -> MetricsReport:
     """Score ED-to-ES segmentation transfer for one video.
 
-    Predicts flow from the source frame (default 0) to the reference frame
-    (default the mid-sequence frame), warps the source mask, and compares it
-    with the reference mask per label. Runs off-tape; nothing here needs
-    gradients.
+    Predicts flow from frame 0 (end-diastole) to frame T // 2 (end-systole,
+    mid-sequence), warps frame 0's mask along it, and compares the result
+    with frame T // 2's mask for each foreground label (RV, MYO, LV). Runs
+    off-tape; nothing here needs gradients.
     """
-    src = 0 if source_index is None else source_index
-    ref = video.frame_count // 2 if reference_index is None else reference_index
     t = video.frame_count
-    if not (0 <= src < t and 0 <= ref < t) or src == ref:
-        raise ValueError(f"invalid frame pair ({src}, {ref}) for {t} frames")
     if len(masks) != t:
-        raise ValueError(f"need one mask per frame, got {len(masks)} for {t}")
+        raise ValueError(f"video '{video.video_id}': need one mask per frame, "
+                         f"got {len(masks)} for {t}")
 
     with T.no_grad():
-        flow = N.predict_flow(cfg, params, video.frames[[src]], video.frames[[ref]])
-    vx, vy = flow.arrays()  # one pair: row 0 of the [1,H,W] field
-    warped = warp_mask(masks[src], MotionField(T.Tensor(vx[0]), T.Tensor(vy[0])))
-    truth = masks[ref]
+        flow = N.predict_flow(cfg, params, video.frames[[0]], video.frames[[t // 2]])
+    warped = warp_mask(masks[0], flow.vx.data[0], flow.vy.data[0])
+    truth = masks[t // 2]
 
     dice_by: dict[int, float] = {}
     haus_by: dict[int, float] = {}

@@ -109,11 +109,8 @@ class ParamSet:
 
 @dataclass
 class MotionField:
-    """Dense displacement field, one (vx, vy) pair per pixel.
-
-    Network outputs are [N, H, W], one row per frame pair. [H, W] fields are
-    only phantom ground truth and the argument of `metrics.warp_mask`.
-    """
+    """Dense displacement field of a batch of frame pairs: vx and vy are
+    [N, H, W] tensors, one row per pair, in pixels."""
 
     vx: Tensor
     vy: Tensor
@@ -125,9 +122,6 @@ class MotionField:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.vx.shape
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vx.data, self.vy.data
 
 
 def _layer_plan(cfg: NetConfig) -> list[tuple[str, str, tuple[int, ...]]]:

@@ -55,7 +55,7 @@ def tiny_video(seed: int) -> D.Video:
                         myo_thickness=1.5, rv_radius=1.5, rv_offset=5.0,
                         noise_sigma=1.0, seed=seed)
     video, _, _ = D.generate_phantom(p)
-    return D.preprocess(video, (16, 16))
+    return D.preprocess(video)
 
 
 def test_criterion_1_gradient_audit_under_a_minute():
@@ -309,7 +309,7 @@ def test_criterion_7_phantom_masks_consistent_with_analytic_flow():
     _, masks, flows = D.generate_phantom(p)
     worst, worst_at = 1.0, None
     for t in range(1, p.frame_count):
-        moved = warp_mask(masks[0], flows[t])
+        moved = warp_mask(masks[0], *flows[t])
         for lab in (D.RV, D.MYO, D.LV):
             val = dice(moved, masks[t], lab)
             if val < worst:

@@ -24,7 +24,7 @@ def tiny_phantom(seed, frames=6):
                       myo_thickness=1.5, rv_radius=1.5, rv_offset=5.0,
                       noise_sigma=1.0, seed=seed)
     video, _, _ = D.generate_phantom(p)
-    return D.preprocess(video, (16, 16))
+    return D.preprocess(video)
 
 
 @pytest.fixture(scope="module")

@@ -54,8 +54,8 @@ class TestSynth:
         assert len(split.meta_train) == 2
         assert len(split.test_inside) == 2
         assert len(split.test_outside) == 1
-        assert split.test_outside[0].category == "outside"
-        assert split.test_inside[0].category == "inside"
+        doc = json.loads(workspace["manifest"].read_text())
+        assert not any("category" in e for e in doc["videos"])
         video, masks = D.load_entry(split.test_inside[0])
         assert video.frames.shape == (8, 32, 32)
         assert len(masks) == 8
@@ -175,6 +175,36 @@ class TestEval:
                 assert float(std_row["dice"]) == pytest.approx(s, abs=1e-15)
                 assert int(mean_row["present"]) == sum(
                     int(r["present"]) for r in mine)
+                for r in mine:
+                    assert int(r["hausdorff_excluded"]) == math.isnan(
+                        float(r["hausdorff_mm"]))
+                for agg in (mean_row, std_row):
+                    assert int(agg["hausdorff_excluded"]) == sum(
+                        int(r["hausdorff_excluded"]) for r in mine)
+
+    def test_population_follows_the_split(self, workspace, tmp_path):
+        # an older manifest with a category per entry still loads, and a
+        # misspelt category no longer drops a video from the mean rows
+        doc = json.loads(workspace["manifest"].read_text())
+        for e in doc["videos"]:
+            e["video"] = str(workspace["data"] / e["video"])
+            e["masks"] = [str(workspace["data"] / m) for m in e["masks"]]
+            e["category"] = "outside" if e["split"] == "test_outside" else "inside"
+        next(e for e in doc["videos"] if e["split"] == "test_inside")["category"] = "insde"
+        old = tmp_path / "manifest.json"
+        old.write_text(json.dumps(doc))
+        outs = []
+        for name, manifest in (("e1", workspace["manifest"]), ("e2", old)):
+            out = tmp_path / name
+            assert main(["eval", "--config", str(workspace["cfg"]),
+                         "--manifest", str(manifest),
+                         "--checkpoint", str(workspace["run"] / "meta.fckp"),
+                         "--out", str(out), "--adapt", "none"]) == EXIT_OK
+            outs.append((out / "metrics.csv").read_bytes())
+        assert outs[0] == outs[1]
+        rows = read_csv(tmp_path / "e2" / "metrics.csv")
+        assert sum(r["category"] == "inside" for r in rows
+                   if r["video_id"].startswith("test_")) == 3 * 2
 
     def test_timing_goes_to_stdout_not_csv(self, workspace, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -240,7 +270,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("videos", [5, {"video": 3}, {"id": ["a"]}, {"masks": 7}])
     def test_malformed_manifest_exits_1(self, workspace, tmp_path, capsys, videos):
         if isinstance(videos, dict):
-            videos = [{"id": "a", "video": "a.fvid", "masks": [], "category": "inside",
+            videos = [{"id": "a", "video": "a.fvid", "masks": [],
                        "split": "test_inside", **videos}]
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"videos": videos}))
@@ -250,6 +280,21 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
         assert f"error: {manifest}" in capsys.readouterr().err
+
+    def test_entry_without_masks_names_the_video(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"videos": [{
+            "id": "no_masks", "video": str(workspace["data"] / "test_inside_000.fvid"),
+            "masks": [], "split": "test_inside"}]}))
+        out = tmp_path / "eval"
+        code = main(["eval", "--config", str(workspace["cfg"]),
+                     "--manifest", str(manifest),
+                     "--checkpoint", str(workspace["run"] / "meta.fckp"),
+                     "--out", str(out), "--adapt", "none"])
+        assert code == EXIT_USAGE
+        assert ("error: video 'no_masks': need one mask per frame, got 0 for 8"
+                in capsys.readouterr().err)
+        assert not (out / "metrics.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_adaptation_exits_1_without_metrics(self, workspace,
