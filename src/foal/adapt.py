@@ -69,7 +69,6 @@ class MetaConfig:
     inner_lr: float = 1e-5
     meta_lr: float = 1e-5
     meta_steps: int = 6000
-    seed: int = 0
 
     def __post_init__(self):
         if self.videos_per_step < 1:
@@ -223,12 +222,12 @@ def meta_train_step(cfg: NetConfig, theta: ParamSet, videos: Sequence[Video],
 
 
 def meta_train(cfg: NetConfig, theta0: ParamSet, videos: Sequence[Video],
-               mcfg: MetaConfig, weights: LossWeights = LossWeights(),
+               mcfg: MetaConfig, weights: LossWeights = LossWeights(), seed: int = 0,
                progress: Callable[[MetaStepRecord], None] | None = None
                ) -> tuple[ParamSet, list[MetaStepRecord]]:
-    """Run `meta_steps` outer updates from theta0 (which is left unchanged)."""
+    """Run `meta_steps` outer updates from theta0 (left unchanged), drawing from `seed`."""
     theta = theta0.clone()
-    rng = np.random.default_rng(mcfg.seed)
+    rng = np.random.default_rng(seed)
     meta_opt = Adam(mcfg.meta_lr)
     records: list[MetaStepRecord] = []
     for step in range(mcfg.meta_steps):

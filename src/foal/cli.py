@@ -76,23 +76,27 @@ def _write_loss_csv(path: Path, reports) -> None:
                         _fmt(rep.consistency), _fmt(rep.total)])
 
 
+def _population(split: str) -> str:
+    """The phantom population a split is drawn from and scored in."""
+    return "outside" if split == "test_outside" else "inside"
+
+
 def _draw_phantom(sc: C.SynthConfig, group: C.SynthGroup,
                   rng: np.random.Generator) -> D.PhantomParams:
-    def u(rge):
-        lo, hi = rge
-        return float(rng.uniform(lo, hi))
-
+    """Each range of `group` drawn uniformly in field order, then the phantom seed."""
+    drawn = {name: float(rng.uniform(*value)) if isinstance(value, tuple) else value
+             for name, value in dataclasses.asdict(group).items()}
     return D.PhantomParams(
         height=sc.height, width=sc.width, frame_count=sc.frame_count,
-        lv_radius=u(group.lv_radius),
-        myo_thickness=u(group.myo_thickness),
-        rv_radius=u(group.rv_radius),
-        rv_offset=u(group.rv_offset),
-        contraction_amplitude=u(group.contraction_amplitude),
-        noise_sigma=group.noise_sigma,
-        intensity_gradient=group.intensity_gradient,
-        pixel_spacing_mm=sc.pixel_spacing_mm,
+        pixel_spacing_mm=sc.pixel_spacing_mm, **drawn,
         seed=int(rng.integers(0, 2**31 - 1)))
+
+
+def _split_videos(manifest, split: str) -> list[D.Video]:
+    entries = D.load_manifest(manifest).of(split)
+    if not entries:
+        raise ValueError(f"manifest has no {split} videos")
+    return [D.load_entry(e)[0] for e in entries]
 
 
 def cmd_synth(args) -> int:
@@ -101,14 +105,10 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
-    counts = {"baseline_train": sc.count_baseline_train,
-              "meta_train": sc.count_meta_train,
-              "test_inside": sc.count_test_inside,
-              "test_outside": sc.count_test_outside}
     split = D.DatasetSplit()
     for split_name in D.SPLIT_NAMES:
-        group = sc.outside if split_name == "test_outside" else sc.inside
-        for i in range(counts[split_name]):
+        group = getattr(sc, _population(split_name))
+        for i in range(getattr(sc, f"count_{split_name}")):
             p = _draw_phantom(sc, group, rng)
             video, masks, _ = D.generate_phantom(p)
             video = D.preprocess(video)
@@ -130,10 +130,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    split = D.load_manifest(args.manifest)
-    if not split.baseline_train:
-        raise ValueError("manifest has no baseline_train videos")
-    videos = [D.load_entry(e)[0] for e in split.baseline_train]
+    videos = _split_videos(args.manifest, "baseline_train")
     theta0 = N.init_params(cfg.net, seed=cfg.seed)
     every = max(1, cfg.train.steps // 10)
 
@@ -156,10 +153,7 @@ def cmd_train(args) -> int:
 
 def cmd_meta_train(args) -> int:
     cfg = _load_config(args)
-    split = D.load_manifest(args.manifest)
-    if not split.meta_train:
-        raise ValueError("manifest has no meta_train videos")
-    videos = [D.load_entry(e)[0] for e in split.meta_train]
+    videos = _split_videos(args.manifest, "meta_train")
     if args.checkpoint:
         theta0 = D.read_checkpoint(args.checkpoint)
         _validate_checkpoint(cfg, theta0)
@@ -174,7 +168,7 @@ def cmd_meta_train(args) -> int:
 
     t0 = time.perf_counter()
     theta, records = meta_train(cfg.net, theta0, videos, cfg.meta, cfg.loss,
-                                progress=progress)
+                                seed=cfg.seed, progress=progress)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     D.write_checkpoint(out / "meta.fckp", theta)
@@ -245,8 +239,7 @@ def cmd_eval(args) -> int:
         timing = "no adaptation" if adapt_ms is None else f"adapt {adapt_ms:7.1f} ms"
         mean_dice = sum(report.dice.values()) / len(report.dice)
         print(f"{entry.video_id}: {timing}, mean dice {mean_dice:.4f}")
-        # the population a video is scored in follows from its split alone
-        category = "outside" if entry.split == "test_outside" else "inside"
+        category = _population(entry.split)
         for lab in report.dice:
             row = {"video_id": entry.video_id,
                    "category": category,

@@ -14,6 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from foal.adapt import MetaConfig, OnlineConfig
+from foal.data import SPLIT_NAMES
 from foal.losses import LossWeights
 from foal.network import NetConfig
 
@@ -39,14 +40,9 @@ class TrainSettings:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
-def _check_range(name: str, r: tuple[float, float]) -> None:
-    if len(r) != 2 or r[0] > r[1]:
-        raise ValueError(f"{name} must be (lo, hi) with lo <= hi, got {r}")
-
-
 @dataclass(frozen=True)
 class SynthGroup:
-    """Per-video uniform draw ranges for one phantom population."""
+    """One phantom population: each tuple field is a (lo, hi) range drawn uniformly per video."""
 
     lv_radius: tuple[float, float] = (6.5, 8.0)
     myo_thickness: tuple[float, float] = (2.0, 3.0)
@@ -57,9 +53,9 @@ class SynthGroup:
     intensity_gradient: float = 0.0
 
     def __post_init__(self):
-        for f in ("lv_radius", "myo_thickness", "rv_radius", "rv_offset",
-                  "contraction_amplitude"):
-            _check_range(f, getattr(self, f))
+        for name, r in asdict(self).items():
+            if isinstance(r, tuple) and (len(r) != 2 or r[0] > r[1]):
+                raise ValueError(f"{name} must be (lo, hi) with lo <= hi, got {r}")
 
 
 def _default_outside() -> SynthGroup:
@@ -87,10 +83,9 @@ class SynthConfig:
     outside: SynthGroup = field(default_factory=_default_outside)
 
     def __post_init__(self):
-        for f in ("count_baseline_train", "count_meta_train",
-                  "count_test_inside", "count_test_outside"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be >= 0")
+        for split in SPLIT_NAMES:
+            if getattr(self, f"count_{split}") < 0:
+                raise ValueError(f"count_{split} must be >= 0")
         if self.frame_count < 2:
             raise ValueError("frame_count must be >= 2")
 

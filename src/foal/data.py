@@ -256,12 +256,11 @@ class _Cursor:
                               f"bytes at byte offset {self.pos}")
 
 
-def write_video(path, video: Video) -> None:
-    t, h, w = video.frames.shape
-    sx, sy = video.pixel_spacing_mm
-    blob = b"FVID" + struct.pack("<IIII", FORMAT_VERSION, t, h, w)
-    blob += struct.pack("<dd", sx, sy)
-    blob += np.ascontiguousarray(video.frames, dtype="<f4").tobytes()
+def _write_grid(path, magic: bytes, data: np.ndarray, spacing, dtype: str) -> None:
+    """The FVID or FMSK file that `_read_grid` reads back: header, then `data` as `dtype`."""
+    blob = magic + struct.pack(f"<I{data.ndim}I", FORMAT_VERSION, *data.shape)
+    blob += struct.pack("<dd", *spacing)
+    blob += np.ascontiguousarray(data, dtype=dtype).tobytes()
     Path(path).write_bytes(blob)
 
 
@@ -286,18 +285,17 @@ def _read_grid(path, magic: bytes, ndim: int, dtype: str, make):
         raise FormatError(f"{path}: {e}") from None
 
 
+def write_video(path, video: Video) -> None:
+    _write_grid(path, b"FVID", video.frames, video.pixel_spacing_mm, "<f4")
+
+
 def read_video(path) -> Video:
     return _read_grid(path, b"FVID", 3, "<f4",
                       lambda data, spacing: Video(data, spacing, video_id=Path(path).stem))
 
 
 def write_mask(path, mask: LabelMask) -> None:
-    h, w = mask.labels.shape
-    sx, sy = mask.pixel_spacing_mm
-    blob = b"FMSK" + struct.pack("<III", FORMAT_VERSION, h, w)
-    blob += struct.pack("<dd", sx, sy)
-    blob += mask.labels.tobytes()
-    Path(path).write_bytes(blob)
+    _write_grid(path, b"FMSK", mask.labels, mask.pixel_spacing_mm, "u1")
 
 
 def read_mask(path) -> LabelMask:
@@ -371,8 +369,7 @@ class DatasetSplit:
     test_outside: list[ManifestEntry] = field(default_factory=list)
 
     def all_entries(self) -> list[ManifestEntry]:
-        return (self.baseline_train + self.meta_train
-                + self.test_inside + self.test_outside)
+        return [e for split in SPLIT_NAMES for e in getattr(self, split)]
 
     def of(self, split: str) -> list[ManifestEntry]:
         if split not in SPLIT_NAMES:

@@ -286,9 +286,9 @@ def take(a, index) -> Tensor:
         raise ShapeError(f"take: row {bad[0]} outside the {len(a.data)} rows of {a.shape}")
 
     def vjp(g):
-        out = np.zeros(a.shape)
-        np.add.at(out, index, g)
-        return (out,)
+        m = int(np.prod(a.shape[1:]))
+        flat = (index[:, None] * m + np.arange(m)).ravel()
+        return (np.bincount(flat, weights=g.ravel(), minlength=a.data.size).reshape(a.shape),)
 
     return _record(a.data[index], (a,), vjp)
 

@@ -112,7 +112,7 @@ def test_criterion_3_zero_inner_steps_is_a_plain_optimizer_step():
     videos = [tiny_video(3), tiny_video(4), tiny_video(5)]
     seed = 31
     mcfg = MetaConfig(videos_per_step=2, inner_steps=0, pairs=5,
-                      meta_lr=1e-4, meta_steps=1, seed=seed)
+                      meta_lr=1e-4, meta_steps=1)
 
     theta_meta = N.init_params(CFG16, seed=13)
     A.meta_train_step(CFG16, theta_meta, videos, mcfg, W, A.Adam(mcfg.meta_lr),

@@ -217,7 +217,7 @@ class TestMetaTrainStep:
         hand and demand bitwise equality."""
         seed = 21
         mcfg = MetaConfig(videos_per_step=2, inner_steps=0, pairs=5,
-                          meta_lr=1e-4, meta_steps=1, seed=seed)
+                          meta_lr=1e-4, meta_steps=1)
         theta_meta = N.init_params(CFG, seed=11)
         rng = np.random.default_rng(seed)
         A.meta_train_step(CFG, theta_meta, videos, mcfg, W, Adam(mcfg.meta_lr),
@@ -249,8 +249,8 @@ class TestMetaTrain:
         theta0 = N.init_params(CFG, seed=12)
         before = theta0.to_arrays()
         mcfg = MetaConfig(videos_per_step=2, inner_steps=1, pairs=4,
-                          meta_steps=3, seed=1)
-        theta, records = A.meta_train(CFG, theta0, videos, mcfg, W)
+                          meta_steps=3)
+        theta, records = A.meta_train(CFG, theta0, videos, mcfg, W, seed=1)
         assert len(records) == 3
         assert [r.step for r in records] == [0, 1, 2]
         for n, arr in theta0.to_arrays().items():
@@ -261,9 +261,9 @@ class TestMetaTrain:
     def test_deterministic_per_seed(self, videos):
         theta0 = N.init_params(CFG, seed=13)
         mcfg = MetaConfig(videos_per_step=2, inner_steps=1, pairs=4,
-                          meta_steps=2, seed=5)
-        t1, r1 = A.meta_train(CFG, theta0, videos, mcfg, W)
-        t2, r2 = A.meta_train(CFG, theta0, videos, mcfg, W)
+                          meta_steps=2)
+        t1, r1 = A.meta_train(CFG, theta0, videos, mcfg, W, seed=5)
+        t2, r2 = A.meta_train(CFG, theta0, videos, mcfg, W, seed=5)
         for n in t1.names():
             assert np.array_equal(t1[n].data, t2[n].data)
         assert [r.heldout.total for r in r1] == [r.heldout.total for r in r2]
@@ -280,8 +280,8 @@ class TestMetaTrain:
         theta0 = N.init_params(CFG, seed=15)
         seen = []
         mcfg = MetaConfig(videos_per_step=1, inner_steps=0, pairs=3,
-                          meta_steps=4, seed=2)
-        _, records = A.meta_train(CFG, theta0, videos, mcfg, W,
+                          meta_steps=4)
+        _, records = A.meta_train(CFG, theta0, videos, mcfg, W, seed=2,
                                   progress=seen.append)
         assert seen == records
 

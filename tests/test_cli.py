@@ -5,10 +5,12 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
+from foal import config as C
 from foal import data as D
-from foal.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from foal.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _draw_phantom, main
 from foal.metrics import evaluate_video
 from foal.network import NetConfig
 
@@ -85,6 +87,18 @@ class TestSynth:
         b = (out2 / "baseline_train_000.fvid").read_bytes()
         assert a != b
 
+    def test_phantom_draws_follow_the_field_order(self):
+        # the ranges are drawn in SynthGroup's field order, then the phantom
+        # seed; reordering the fields would change every synthesized video
+        p = _draw_phantom(C.SynthConfig(), C.SynthGroup(), np.random.default_rng(0))
+        assert p.lv_radius == 7.4554425309821815
+        assert p.myo_thickness == 2.26978671376387
+        assert p.rv_radius == 3.5409735239361946
+        assert p.rv_offset == 9.01652763552853
+        assert p.contraction_amplitude == 0.28132702392002723
+        assert p.seed == 1394609702
+        assert (p.noise_sigma, p.intensity_gradient) == (2.0, 0.0)
+
 
 class TestTrain:
     def test_checkpoint_matches_architecture(self, workspace):
@@ -108,6 +122,19 @@ class TestTrain:
         assert (workspace["run"] / "meta.fckp").exists()
         rows = read_csv(workspace["run"] / "meta_progress.csv")
         assert len(rows) == CFG_DOC["meta"]["meta_steps"]
+
+    def test_meta_train_seed_seeds_the_meta_loop(self, workspace, tmp_path):
+        # the starting weights come from the checkpoint, so only the meta
+        # loop's draws can tell the two seeds apart
+        blobs = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["meta-train", "--config", str(workspace["cfg"]),
+                         "--manifest", str(workspace["manifest"]),
+                         "--checkpoint", str(workspace["run"] / "baseline.fckp"),
+                         "--seed", seed, "--out", str(out)]) == EXIT_OK
+            blobs.append((out / "meta.fckp").read_bytes())
+        assert blobs[0] != blobs[1]
 
 
 class TestEval:
@@ -237,6 +264,20 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,split", [("train", "baseline_train"),
+                                               ("meta-train", "meta_train")])
+    def test_empty_training_split_exits_1(self, workspace, tmp_path, capsys,
+                                          command, split):
+        split_doc = D.load_manifest(workspace["manifest"])
+        split_doc.of(split).clear()
+        manifest = tmp_path / "manifest.json"
+        D.save_manifest(manifest, split_doc)
+        code = main([command, "--config", str(workspace["cfg"]),
+                     "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert f"error: manifest has no {split} videos" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,9 @@ class TestStrictness:
         with pytest.raises(ConfigError,
                            match=r"config\.synth\.inside: unknown keys"):
             C.from_dict({"synth": {"inside": {"radius": [1, 2]}}})
+        # meta-training draws from the run's top-level seed
+        with pytest.raises(ConfigError, match=r"config\.meta: unknown keys \['seed'\]"):
+            C.from_dict({"meta": {"seed": 1}})
 
     def test_non_object_section_rejected(self):
         with pytest.raises(ConfigError, match=r"config\.net: expected an object"):
@@ -157,6 +161,12 @@ class TestFiles:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             C.from_json(p)
+
+    def test_readme_configuration_block_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert C.from_dict(json.loads(block)) == RunConfig()
 
     def test_json_document_is_plain_data(self, tmp_path):
         p = tmp_path / "cfg.json"
