@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import math
 import sys
@@ -218,6 +219,19 @@ def _aggregate(mine: list[dict]) -> list[list]:
     ]
 
 
+def _one_malloc_arena() -> None:
+    """Have eval's worker threads share one glibc malloc arena, which serves
+    blocks up to 32 MiB and keeps up to 64 MiB free at its top. By default
+    each thread gets an arena of its own and glibc moves both limits as
+    blocks are freed, so how much memory the arenas keep depends on how the
+    threads' work happened to interleave, and trimmed buffers fault back in."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is not None:
+        mallopt(-8, 1)  # M_ARENA_MAX
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     split = D.load_manifest(args.manifest)
@@ -228,6 +242,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"thread count must be >= 1, got {args.threads}")
     params = D.read_checkpoint(args.checkpoint)
     _validate_checkpoint(cfg, params)
+    _one_malloc_arena()
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         results = list(pool.map(partial(_eval_one, cfg, params, args.adapt),
                                 range(len(entries)), entries))

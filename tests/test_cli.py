@@ -3,11 +3,18 @@
 import csv
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import foal
 from foal import config as C
 from foal import data as D
 from foal.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _draw_phantom, main
@@ -256,6 +263,28 @@ class TestEval:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
         assert "architecture" in capsys.readouterr().err
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_eval_threads_share_one_arena(self):
+        # malloc_stats prints one "Arena <n>:" block per arena in use
+        probe = textwrap.dedent("""
+            import ctypes, sys, threading
+            import numpy as np
+            from foal import cli
+            if sys.argv[1] == "shared":
+                cli._one_malloc_arena()
+            worker = threading.Thread(target=lambda: np.ones(1 << 16).sum())
+            worker.start()
+            worker.join()
+            ctypes.CDLL(None).malloc_stats()
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(foal.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        arenas = {mode: subprocess.run([sys.executable, "-c", probe, mode], env=env,
+                                       capture_output=True, text=True,
+                                       check=True).stderr.count("Arena ")
+                  for mode in ("default", "shared")}
+        assert arenas == {"default": 2, "shared": 1}
 
 
 class TestErrorPaths:
