@@ -177,7 +177,7 @@ def meta_gradient(cfg: NetConfig, theta_i: ParamSet, video: Video,
     loss, rep = batch_loss(cfg, theta_i, video, heldout, weights)
     _check_finite(f"video '{video.video_id}': held-out loss is", rep.total, theta_i)
     loss.backward()
-    return {n: theta_i[n].grad.copy() for n in theta_i.names()}, rep
+    return theta_i.grads(), rep
 
 
 def meta_train_step(cfg: NetConfig, theta: ParamSet, videos: Sequence[Video],

@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from foal.adapt import MetaConfig, OnlineConfig
-from foal.data import SPLIT_NAMES
+from foal.data import SPLIT_NAMES, PhantomParams
 from foal.losses import LossWeights
 from foal.network import NetConfig
 
@@ -88,6 +88,17 @@ class SynthConfig:
                 raise ValueError(f"count_{split} must be >= 0")
         if self.frame_count < 2:
             raise ValueError("frame_count must be >= 2")
+        # each phantom check is monotone in every drawn field, so a group's
+        # all-lo and all-hi corners bound every draw from it
+        for name in ("inside", "outside"):
+            for end in (0, 1):
+                corner = {k: v[end] if isinstance(v, tuple) else v
+                          for k, v in asdict(getattr(self, name)).items()}
+                try:
+                    PhantomParams(height=self.height, width=self.width,
+                                  frame_count=self.frame_count, **corner)
+                except ValueError as e:
+                    raise ValueError(f"{name}: {e}") from e
 
 
 @dataclass(frozen=True)

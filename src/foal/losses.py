@@ -115,11 +115,7 @@ def warp_image(image, flow: MotionField) -> Tensor:
 
 def loss_mse(warped, reference) -> Tensor:
     """Mean squared intensity error over all pixels of all pairs."""
-    w = warped if isinstance(warped, Tensor) else Tensor(warped)
-    r = reference if isinstance(reference, Tensor) else Tensor(reference)
-    if w.shape != r.shape:
-        raise ShapeError(f"loss_mse: shapes {w.shape} and {r.shape} differ")
-    return T.mean(T.square(T.sub(w, r)))
+    return T.mean(T.square(T.sub(warped, reference)))
 
 
 def loss_smooth(flow: MotionField) -> Tensor:
@@ -158,8 +154,6 @@ def loss_consistency(fwd: MotionField, bwd: MotionField) -> Tensor:
     Zero when the fields are exact inverses; a one-pixel uncompensated
     shift against a zero reverse field scores 1.
     """
-    if fwd.shape != bwd.shape:
-        raise ShapeError(f"loss_consistency: shapes {fwd.shape} and {bwd.shape} differ")
     return T.scalar_mul(T.add(_cycle_residual(fwd, bwd),
                               _cycle_residual(bwd, fwd)), 0.5)
 

@@ -84,10 +84,7 @@ class ParamSet:
 
     def clone(self) -> "ParamSet":
         """Deep copy with fresh gradient buffers; edits never touch the source."""
-        out = {}
-        for name, t in self._tensors.items():
-            out[name] = Tensor(t.data.copy(), requires_grad=True)
-        return ParamSet(out)
+        return ParamSet.from_arrays({n: t.data for n, t in self._tensors.items()})
 
     def grads(self) -> dict[str, np.ndarray]:
         """Collected gradients for every parameter that has one."""
@@ -118,10 +115,6 @@ class MotionField:
     def __post_init__(self):
         if self.vx.shape != self.vy.shape:
             raise ShapeError(f"vx shape {self.vx.shape} != vy shape {self.vy.shape}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.vx.shape
 
 
 def _layer_plan(cfg: NetConfig) -> list[tuple[str, str, tuple[int, ...]]]:

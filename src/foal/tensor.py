@@ -4,8 +4,10 @@ Every operation that sees at least one gradient-requiring input records a
 node holding its inputs and a vector-Jacobian closure.  ``backward`` replays
 those nodes in the exact reverse of recording order, which is a valid
 topological order because an op can only consume tensors that already exist.
-Gradients are accumulated additively at fan-out points and into leaf ``.grad``
-buffers across repeated backward calls.
+Gradients are accumulated additively on ``.grad``: at fan-out points within a
+pass, and on leaves across repeated backward calls.  A graph replays once:
+each node drops its closure and inputs as its vjp runs, freeing the forward
+buffers it held, and a second backward through it raises ``GradError``.
 
 All arithmetic is float64; binary ops take same-shape operands.  The tape is
 not thread-safe; confine a graph and its backward pass to one thread.
@@ -26,7 +28,7 @@ class ShapeError(ValueError):
 
 
 class GradError(RuntimeError):
-    """Raised on invalid backward requests (non-scalar root, detached root)."""
+    """Raised on a backward from a non-scalar or detached root, or through a consumed graph."""
 
 
 _STATE = threading.local()
@@ -112,10 +114,17 @@ def _record(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
+def _consumed(g):
+    raise GradError("backward through a graph that an earlier backward consumed")
+
+
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable leaf's ``.grad``.
 
-    root must be scalar.  Repeated calls keep adding; clear the leaves'
+    root must be scalar.  The graph behind root replays once: each op node
+    drops its vjp closure and inputs as the closure runs, which frees the
+    forward buffers they held, and a later backward that reaches the node
+    raises GradError.  Leaves keep adding across graphs; clear their
     ``.grad`` (``ParamSet.zero_grad``) between independent passes.
     """
     if root.data.size != 1:
@@ -123,11 +132,6 @@ def backward(root: Tensor) -> None:
     if not root.requires_grad:
         raise GradError("backward on a tensor that is not connected to any "
                         "gradient-requiring leaf")
-
-    seed = np.ones_like(root.data)
-    if root.is_leaf:
-        root.grad = seed if root.grad is None else root.grad + seed
-        return
 
     # Reachable op nodes, replayed strictly in reverse recording order.
     nodes: list[Tensor] = []
@@ -143,22 +147,16 @@ def backward(root: Tensor) -> None:
                     stack.append(p)
     nodes.sort(key=lambda t: t._order, reverse=True)
 
-    pending: dict[int, np.ndarray] = {id(root): seed}
+    seed = np.ones_like(root.data)
+    root.grad = seed if root.grad is None else root.grad + seed
     for node in nodes:
-        gy = pending.pop(id(node), None)
+        gy, parents, vjp = node.grad, node._parents, node._vjp
+        node.grad, node._parents, node._vjp = None, (), _consumed
         if gy is None:
             continue
-        for parent, g in zip(node._parents, node._vjp(gy)):
-            if g is None or not parent.requires_grad:
-                continue
-            if parent.is_leaf:
+        for parent, g in zip(parents, vjp(gy)):
+            if g is not None and parent.requires_grad:
                 parent.grad = g if parent.grad is None else parent.grad + g
-            else:
-                pid = id(parent)
-                if pid in pending:
-                    pending[pid] = pending[pid] + g
-                else:
-                    pending[pid] = g
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,17 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_overflowing_population_range_writes_nothing(self, tmp_path, capsys):
+        # the upper corner of this range overflows the 32x32 frame, which a
+        # draw near the top would reach only after earlier videos were written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"synth": {"inside": {"lv_radius": [6.5, 12.4]}}}')
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "inside" in err and "overflows" in err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_threads_rejected(self, workspace, tmp_path, capsys):
         code = main(["eval", "--config", str(workspace["cfg"]),
                      "--manifest", str(workspace["manifest"]),

@@ -194,6 +194,10 @@ class TestConsistency:
         bwd = zero_field((1, h, w))
         assert L.loss_consistency(fwd, bwd).item() == pytest.approx(1.0, rel=1e-15)
 
+    def test_shape_mismatch(self):
+        with pytest.raises(T.ShapeError):
+            L.loss_consistency(zero_field((1, 4, 4)), zero_field((1, 4, 5)))
+
     def test_symmetry_in_argument_order(self):
         rng = np.random.default_rng(10)
         a = field(rng.uniform(-1, 1, (1, 6, 6)), rng.uniform(-1, 1, (1, 6, 6)))

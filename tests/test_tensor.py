@@ -1,5 +1,7 @@
 """Autodiff core: forward oracles, adjoint identities, finite-difference checks."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -145,6 +147,35 @@ class TestBackwardSemantics:
         first = a.grad.copy()
         T.mean(T.square(a)).backward()
         assert np.array_equal(a.grad, 2 * first)
+
+    def test_second_backward_on_same_root_raises(self):
+        a = Tensor([2.0], requires_grad=True)
+        loss = T.mean(T.square(a))
+        loss.backward()
+        with pytest.raises(T.GradError, match="consumed"):
+            loss.backward()
+        assert a.grad[0] == 4.0
+
+    def test_backward_through_consumed_subgraph_raises(self):
+        # two roots share s; the first backward consumes it
+        a = Tensor([2.0, 3.0], requires_grad=True)
+        s = T.square(a)
+        T.total(s).backward()
+        assert s._parents == () and not s.is_leaf
+        with pytest.raises(T.GradError, match="consumed"):
+            T.mean(s).backward()
+
+    def test_backward_frees_buffers_held_by_vjp_closures(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        c = np.arange(3.0)  # a constant operand that only the mul node holds
+        held = weakref.ref(c)
+        loss = T.total(T.mul(a, c))
+        del c
+        assert held() is not None
+        loss.backward()
+        assert held() is None
+        assert loss._parents == ()
+        assert np.array_equal(a.grad, [0.0, 1.0, 2.0])
 
     def test_no_grad_suppresses_tape(self):
         a = Tensor([2.0], requires_grad=True)
