@@ -220,11 +220,11 @@ def _aggregate(mine: list[dict]) -> list[list]:
 
 
 def _one_malloc_arena() -> None:
-    """Have eval's worker threads share one glibc malloc arena, which serves
-    blocks up to 32 MiB and keeps up to 64 MiB free at its top. By default
-    each thread gets an arena of its own and glibc moves both limits as
-    blocks are freed, so how much memory the arenas keep depends on how the
-    threads' work happened to interleave, and trimmed buffers fault back in."""
+    """Have every thread share one glibc malloc arena, which serves blocks up
+    to 32 MiB and keeps up to 64 MiB free at its top. By default each thread
+    has an arena and glibc moves both limits as blocks are freed, so what
+    eval's arenas keep depends on how its threads interleave, and the graph
+    each training backward frees is trimmed and faults back in next step."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
     if mallopt is not None:
         mallopt(-8, 1)  # M_ARENA_MAX
@@ -242,7 +242,6 @@ def cmd_eval(args) -> int:
         raise ValueError(f"thread count must be >= 1, got {args.threads}")
     params = D.read_checkpoint(args.checkpoint)
     _validate_checkpoint(cfg, params)
-    _one_malloc_arena()
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         results = list(pool.map(partial(_eval_one, cfg, params, args.adapt),
                                 range(len(entries)), entries))
@@ -345,6 +344,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _one_malloc_arena()
     try:
         return args.func(args)
     except (ConfigError, D.FormatError, ValueError, OSError) as e:

@@ -96,7 +96,8 @@ class SynthConfig:
                           for k, v in asdict(getattr(self, name)).items()}
                 try:
                     PhantomParams(height=self.height, width=self.width,
-                                  frame_count=self.frame_count, **corner)
+                                  frame_count=self.frame_count,
+                                  pixel_spacing_mm=self.pixel_spacing_mm, **corner)
                 except ValueError as e:
                     raise ValueError(f"{name}: {e}") from e
 

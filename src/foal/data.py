@@ -39,8 +39,8 @@ class FormatError(ValueError):
 
 
 def _check_spacing(spacing, where: str = "") -> None:
-    if not all(math.isfinite(s) and s > 0 for s in spacing):
-        raise ValueError(f"{where}pixel spacing must be finite and positive, got {spacing}")
+    if len(spacing) != 2 or not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise ValueError(f"{where}pixel spacing must be two finite positive values, got {spacing}")
 
 
 @dataclass
@@ -109,6 +109,7 @@ class PhantomParams:
     def __post_init__(self):
         if self.frame_count < 2:
             raise ValueError("phantom needs >= 2 frames")
+        _check_spacing(self.pixel_spacing_mm)
         if not 0.0 <= self.contraction_amplitude < 1.0:
             raise ValueError(f"contraction_amplitude must lie in [0, 1), "
                              f"got {self.contraction_amplitude}")

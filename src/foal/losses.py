@@ -42,11 +42,18 @@ class LossReport:
     total: float
 
 
-def bilinear_gather(image: np.ndarray, sx: np.ndarray, sy: np.ndarray):
-    """Sample image [N,H,W] at continuous coords (sx, sy), clamping to the
-    border. Returns the samples plus the corner indices/weights needed for
-    the backward pass (and reused by the label-mask warp)."""
-    n, h, w = image.shape
+def _corners(k00: np.ndarray, h: int, w: int) -> tuple:
+    """Flat indices of the four corners 00, 01, 10, 11 of each sample: fixed
+    offsets from its top-left corner k00, 0 along a one-pixel axis."""
+    dx, dy = int(w > 1), w * int(h > 1)
+    return k00, k00 + dx, k00 + dy, k00 + dy + dx
+
+
+def bilinear_gather(planes: np.ndarray, sx: np.ndarray, sy: np.ndarray):
+    """Sample each [N,H,W] plane of planes [..., N, H, W] at coords (sx, sy)
+    [N,H,W], clamping to the border, with one set of corners for all planes.
+    Returns the samples, the four corner values and (k00, wx, wy)."""
+    n, h, w = sx.shape
     cx = np.clip(sx, 0.0, w - 1.0)
     cy = np.clip(sy, 0.0, h - 1.0)
     x0 = np.floor(cx).astype(np.int64)
@@ -56,17 +63,13 @@ def bilinear_gather(image: np.ndarray, sx: np.ndarray, sy: np.ndarray):
     wx = cx - x0
     wy = cy - y0
 
-    # flat index of each top-left corner; the other three are fixed offsets
     k00 = (np.arange(n)[:, None, None] * h + y0) * w + x0
-    dx, dy = int(w > 1), w * int(h > 1)
-    corners = (k00, k00 + dx, k00 + dy, k00 + dy + dx)
-    flat = image.ravel()
-    i00, i01, i10, i11 = (np.take(flat, k) for k in corners)
+    flat = planes.reshape(-1, n * h * w)
+    i00, i01, i10, i11 = (np.take(flat, k, axis=1).reshape(planes.shape)
+                          for k in _corners(k00, h, w))
     top = i00 * (1.0 - wx) + i01 * wx
     bot = i10 * (1.0 - wx) + i11 * wx
-    out = top * (1.0 - wy) + bot * wy
-    cache = (corners, wx, wy, i00, i01, i10, i11)
-    return out, cache
+    return top * (1.0 - wy) + bot * wy, (i00, i01, i10, i11), (k00, wx, wy)
 
 
 def warp_image(image, flow: MotionField) -> Tensor:
@@ -75,7 +78,8 @@ def warp_image(image, flow: MotionField) -> Tensor:
 
     Differentiable in both the image values and the flow. The flow gradient
     is zeroed where the raw sample coordinate falls outside the image, since
-    clamping makes the output locally constant there.
+    clamping makes the output locally constant there. The tape keeps the two
+    flow-gradient factors, plus k00, wx and wy if the image needs a gradient.
     """
     img = image if isinstance(image, Tensor) else Tensor(image)
     vx, vy = flow.vx, flow.vy
@@ -88,27 +92,22 @@ def warp_image(image, flow: MotionField) -> Tensor:
     sx = vx.data + np.arange(w, dtype=np.float64)
     sy = vy.data + np.arange(h, dtype=np.float64)[:, None]
 
-    out, cache = bilinear_gather(img.data, sx, sy)
-    corners, wx, wy, i00, i01, i10, i11 = cache
-    in_x = (sx >= 0.0) & (sx <= w - 1.0)
-    in_y = (sy >= 0.0) & (sy <= h - 1.0)
+    out, (i00, i01, i10, i11), (k00, wx, wy) = bilinear_gather(img.data, sx, sy)
+    d_vx = ((i01 - i00) * (1 - wy) + (i11 - i10) * wy) * ((sx >= 0.0) & (sx <= w - 1.0))
+    d_vy = ((i10 - i00) * (1 - wx) + (i11 - i01) * wx) * ((sy >= 0.0) & (sy <= h - 1.0))
+    if not img.requires_grad:
+        k00 = wx = wy = None
 
     def vjp(g):
-        g_img = g_vx = g_vy = None
-        if img.requires_grad:
+        g_img = None
+        if k00 is not None:
             flat = np.zeros(n * h * w)
-            for k, ww in zip(corners, ((1 - wx) * (1 - wy), wx * (1 - wy),
-                                       (1 - wx) * wy, wx * wy)):
+            for k, ww in zip(_corners(k00, h, w), ((1 - wx) * (1 - wy), wx * (1 - wy),
+                                                   (1 - wx) * wy, wx * wy)):
                 flat += np.bincount(k.ravel(), weights=(g * ww).ravel(),
                                     minlength=n * h * w)
             g_img = flat.reshape(n, h, w)
-        if vx.requires_grad:
-            d = ((i01 - i00) * (1 - wy) + (i11 - i10) * wy) * in_x
-            g_vx = g * d
-        if vy.requires_grad:
-            d = ((i10 - i00) * (1 - wx) + (i11 - i01) * wx) * in_y
-            g_vy = g * d
-        return g_img, g_vx, g_vy
+        return g_img, g * d_vx, g * d_vy
 
     return T._record(out, (img, vx, vy), vjp)
 

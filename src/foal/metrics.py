@@ -36,9 +36,9 @@ def warp_mask(mask: LabelMask, vx: np.ndarray, vy: np.ndarray) -> LabelMask:
     """Backward-warp a label image along one flow given as [H,W] arrays of
     horizontal and vertical displacement in pixels.
 
-    Labels are one-hot encoded, each plane is sampled bilinearly with the
-    same border-clamp rule as image warping, and the result is re-labelled
-    by argmax (ties resolve to the lowest label index).
+    Labels are one-hot encoded, all planes are sampled bilinearly at one set
+    of corners with the same border-clamp rule as image warping, and the
+    result is re-labelled by argmax (ties resolve to the lowest label index).
     """
     labels = mask.labels
     if not vx.shape == vy.shape == labels.shape:
@@ -46,12 +46,9 @@ def warp_mask(mask: LabelMask, vx: np.ndarray, vy: np.ndarray) -> LabelMask:
     h, w = labels.shape
     sx = vx + np.arange(w, dtype=np.float64)[None, :]
     sy = vy + np.arange(h, dtype=np.float64)[:, None]
-
-    scores = np.empty((NUM_LABELS, h, w))
-    for lab in range(NUM_LABELS):
-        plane = (labels == lab).astype(np.float64)[None]
-        scores[lab] = bilinear_gather(plane, sx[None], sy[None])[0][0]
-    return LabelMask(np.argmax(scores, axis=0).astype(np.uint8),
+    onehot = labels == np.arange(NUM_LABELS)[:, None, None, None]  # [L,1,H,W]
+    scores = bilinear_gather(onehot.astype(np.float64), sx[None], sy[None])[0]
+    return LabelMask(np.argmax(scores[:, 0], axis=0).astype(np.uint8),
                      mask.pixel_spacing_mm)
 
 

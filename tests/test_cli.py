@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import foal
+from foal import cli
 from foal import config as C
 from foal import data as D
 from foal.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _draw_phantom, main
@@ -264,6 +265,18 @@ class TestEval:
         assert code == EXIT_USAGE
         assert "architecture" in capsys.readouterr().err
 
+    def test_main_sets_the_malloc_policy_once(self, tmp_path, monkeypatch):
+        # training frees a graph every step, so every subcommand runs under
+        # the limits, not only eval
+        calls = []
+        monkeypatch.setattr(cli, "_one_malloc_arena", lambda: calls.append(1))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {
+            "count_baseline_train": 0, "count_meta_train": 0,
+            "count_test_inside": 1, "count_test_outside": 0}}))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == EXIT_OK
+        assert calls == [1]
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
     def test_eval_threads_share_one_arena(self):
         # malloc_stats prints one "Arena <n>:" block per arena in use
@@ -325,6 +338,17 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "inside" in err and "overflows" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("spacing", [[1.0, 1.0, 1.0], [-1.0, 1.0]])
+    def test_bad_pixel_spacing_fails_at_config_load(self, tmp_path, capsys, spacing):
+        # three spacings used to reach the FVID writer as a struct.error traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"pixel_spacing_mm": spacing}}))
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.synth") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_zero_threads_rejected(self, workspace, tmp_path, capsys):

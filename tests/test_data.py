@@ -137,7 +137,8 @@ class TestVideo:
         with pytest.raises(ValueError, match=r"finite.*\[2, 1, 3\]"):
             D.Video(frames)
 
-    @pytest.mark.parametrize("spacing", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("spacing", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0), (1.0, 0.0),
+                                         (1.0,), (1.0, 1.0, 1.0)])
     def test_spacing_must_be_finite_and_positive(self, spacing):
         with pytest.raises(ValueError, match="spacing"):
             Video(np.zeros((2, 3, 3)), spacing)

@@ -1,5 +1,7 @@
 """Warping and loss terms against hand computations and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,23 @@ class TestWarp:
         for i in range(3):
             one = L.warp_image(imgs[i:i + 1], field(vx[i:i + 1], vy[i:i + 1])).data
             assert np.array_equal(joint[i:i + 1], one)
+
+    @pytest.mark.parametrize("image_grad,planes", [(False, 3), (True, 6)])
+    def test_tape_keeps_only_what_the_vjp_reads(self, image_grad, planes):
+        # the flow factors d_vx and d_vy, plus k00, wx and wy for an image
+        # gradient; corner values and in-range masks are forward-only
+        rng = np.random.default_rng(5)
+        shape = (4, 32, 32)
+        img = Tensor(rng.normal(size=shape), requires_grad=image_grad)
+        fl = field(rng.normal(size=shape), rng.normal(size=shape), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = L.warp_image(img, fl)
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept <= planes * out.data.nbytes, kept / out.data.nbytes
 
     def test_grad_wrt_image_finite_difference(self):
         rng = np.random.default_rng(3)

@@ -19,7 +19,41 @@ def const_flow(shape, vx, vy):
     return np.full(shape, float(vx)), np.full(shape, float(vy))
 
 
+def per_label_warp(labels, vx, vy):
+    """Reference: the per-label loop warp_mask replaced, one one-hot plane at a
+    time with its own clamped corners and weights."""
+    h, w = labels.shape
+    cx = np.clip(vx + np.arange(w, dtype=np.float64), 0.0, w - 1.0)
+    cy = np.clip(vy + np.arange(h, dtype=np.float64)[:, None], 0.0, h - 1.0)
+    x0 = np.clip(np.floor(cx).astype(np.int64), 0, max(w - 2, 0))
+    y0 = np.clip(np.floor(cy).astype(np.int64), 0, max(h - 2, 0))
+    x1, y1 = x0 + int(w > 1), y0 + int(h > 1)
+    wx, wy = cx - x0, cy - y0
+    scores = np.empty((D.NUM_LABELS, h, w))
+    for lab in range(D.NUM_LABELS):
+        plane = (labels == lab).astype(np.float64)
+        top = plane[y0, x0] * (1.0 - wx) + plane[y0, x1] * wx
+        bot = plane[y1, x0] * (1.0 - wx) + plane[y1, x1] * wx
+        scores[lab] = top * (1.0 - wy) + bot * wy
+    return np.argmax(scores, axis=0).astype(np.uint8)
+
+
 class TestWarpMask:
+    def test_matches_per_label_loop(self):
+        # one-row, one-column and one-pixel masks, flows reaching far outside
+        # the image, and flows on half pixels, where two labels tie
+        rng = np.random.default_rng(0)
+        shapes = [(1, 7), (6, 1), (1, 1), (2, 2)] + [tuple(rng.integers(2, 13, size=2))
+                                                     for _ in range(8)]
+        for i in range(240):
+            h, w = shapes[i % len(shapes)]
+            labels = rng.integers(0, D.NUM_LABELS, size=(h, w))
+            vx, vy = rng.normal(scale=(0.8, 5.0)[i % 2], size=(2, h, w))
+            if i % 3 == 0:
+                vx, vy = np.round(2 * vx) / 2, np.round(2 * vy) / 2
+            got = M.warp_mask(mask_of(labels), vx, vy).labels
+            assert np.array_equal(got, per_label_warp(labels, vx, vy)), (i, h, w)
+
     def test_zero_flow_identity(self):
         rng = np.random.default_rng(0)
         m = mask_of(rng.integers(0, 4, size=(6, 6)))

@@ -70,11 +70,15 @@ def main() -> None:
 
     cfg = N.NetConfig()
     base = N.init_params(cfg, seed=0)
-    videos, masks = [], []
+    videos, masks, warped = [], [], []
     for seed in range(3):
-        video, m, _ = D.generate_phantom(D.PhantomParams(seed=seed))
+        video, m, flows = D.generate_phantom(D.PhantomParams(seed=seed))
         videos.append(D.preprocess(video))
         masks.append(m)
+        # ground-truth flows move labels by fractions of a pixel, where a
+        # network's flows at these weights mostly clamp to the border
+        warped += [M.warp_mask(m[0], *flow).labels.tobytes() for flow in flows]
+    print(f"warp_mask ground-truth flows  {sha(*warped)}")
     for opt in ("adam", "sgd"):
         for i, video in enumerate(videos):
             theta, reps = A.online_adapt(cfg, base, video, A.OnlineConfig(optimizer=opt, seed=i))
