@@ -169,7 +169,10 @@ def loss_total(cfg: NetConfig, params: ParamSet, frames, pairs,
     mse + alpha_s*smooth + beta_c*consistency exactly as accumulated.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    src, ref = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    pairs = np.asarray(pairs)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not len(pairs) or pairs.dtype.kind not in "iu":
+        raise ShapeError(f"pairs must be [N, 2] ints with N > 0, got {pairs.dtype} {pairs.shape}")
+    src, ref = pairs.astype(np.int64).T
     grid = (len(frames), len(frames))  # key src * T + ref; an index outside raises
     keys, inverse = np.unique(np.ravel_multi_index(
         (np.concatenate([src, ref]), np.concatenate([ref, src])), grid), return_inverse=True)

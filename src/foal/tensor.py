@@ -1,20 +1,23 @@
 """Reverse-mode autodiff on numpy arrays with a dynamic tape.
 
-Every operation that sees at least one gradient-requiring input records a
-node holding its inputs and a vector-Jacobian closure.  ``backward`` replays
-those nodes in the exact reverse of recording order, which is a valid
-topological order because an op can only consume tensors that already exist.
-Gradients are accumulated additively on ``.grad``: at fan-out points within a
-pass, and on leaves across repeated backward calls.  A graph replays once:
-each node drops its closure and inputs as its vjp runs, freeing the forward
-buffers it held, and a second backward through it raises ``GradError``.
+Every operation that sees at least one gradient-requiring input records a node
+holding its inputs and a vector-Jacobian closure, and nothing else its inputs
+already hold.  ``backward`` replays those nodes in the exact reverse of
+recording order, which is a valid topological order because an op can only
+consume tensors that already exist.  Gradients are accumulated additively on
+``.grad``: at fan-out points within a pass, and on leaves across repeated
+backward calls.  A graph replays once: backward releases each node once its
+vjp has run, and a second backward through it raises ``GradError``.
 
-All arithmetic is float64; binary ops take same-shape operands.  The tape is
-not thread-safe; confine a graph and its backward pass to one thread.
+All arithmetic is float64; binary ops take same-shape operands.  An op's
+output may be a view of its input, so never write into an op output's
+``.data``.  The tape is not thread-safe; confine a graph and its backward
+pass to one thread.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 from typing import Callable, Sequence
@@ -121,42 +124,31 @@ def _consumed(g):
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable leaf's ``.grad``.
 
-    root must be scalar.  The graph behind root replays once: each op node
-    drops its vjp closure and inputs as the closure runs, which frees the
-    forward buffers they held, and a later backward that reaches the node
-    raises GradError.  Leaves keep adding across graphs; clear their
-    ``.grad`` (``ParamSet.zero_grad``) between independent passes.
+    root must be scalar.  One pass pops op nodes off a max-heap on recording
+    order, runs each vjp, then releases the node, freeing its output, closure
+    and inputs once nothing else holds them; a later backward that reaches a
+    replayed node raises GradError.  Leaves keep adding across graphs; clear
+    their ``.grad`` (``ParamSet.zero_grad``) between independent passes.
     """
     if root.data.size != 1:
         raise GradError(f"backward requires a scalar root, got shape {root.shape}")
     if not root.requires_grad:
         raise GradError("backward on a tensor that is not connected to any "
                         "gradient-requiring leaf")
-
-    # Reachable op nodes, replayed strictly in reverse recording order.
-    nodes: list[Tensor] = []
-    seen = {id(root)}
-    stack = [root]
-    while stack:
-        t = stack.pop()
-        if not t.is_leaf:
-            nodes.append(t)
-            for p in t._parents:
-                if p.requires_grad and id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append(p)
-    nodes.sort(key=lambda t: t._order, reverse=True)
-
     seed = np.ones_like(root.data)
     root.grad = seed if root.grad is None else root.grad + seed
-    for node in nodes:
+    heap = [] if root.is_leaf else [(-root._order, root)]
+    seen = {root._order}
+    while heap:
+        node = heapq.heappop(heap)[1]
         gy, parents, vjp = node.grad, node._parents, node._vjp
         node.grad, node._parents, node._vjp = None, (), _consumed
-        if gy is None:
-            continue
         for parent, g in zip(parents, vjp(gy)):
-            if g is not None and parent.requires_grad:
+            if parent.requires_grad:
                 parent.grad = g if parent.grad is None else parent.grad + g
+                if not parent.is_leaf and parent._order not in seen:
+                    seen.add(parent._order)
+                    heapq.heappush(heap, (-parent._order, parent))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +211,7 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    return _record(a.data.reshape(shape).copy(), (a,),
+    return _record(a.data.reshape(shape), (a,),
                    lambda g: (g.reshape(a.shape),))
 
 
@@ -229,9 +221,8 @@ def leaky_relu(a, slope: float = 0.1) -> Tensor:
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must lie in (0, 1), got {slope}")
     # 0 < slope < 1: max(a, slope*a) is the value, max(a > 0, slope) the slope
-    positive = a.data > 0.0
     return _record(np.maximum(a.data, slope * a.data), (a,),
-                   lambda g: (g * np.maximum(positive, slope),))
+                   lambda g: (g * np.maximum(a.data > 0.0, slope),))
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
@@ -269,7 +260,7 @@ def take_channel(a, index: int) -> Tensor:
         out[sl] = g
         return (out,)
 
-    return _record(a.data[..., index, :, :].copy(), (a,), vjp)
+    return _record(a.data[..., index, :, :], (a,), vjp)
 
 
 def take(a, index) -> Tensor:
@@ -286,7 +277,8 @@ def take(a, index) -> Tensor:
     def vjp(g):
         m = int(np.prod(a.shape[1:]))
         flat = (index[:, None] * m + np.arange(m)).ravel()
-        return (np.bincount(flat, weights=g.ravel(), minlength=a.data.size).reshape(a.shape),)
+        gx = np.bincount(flat, weights=g.ravel(), minlength=a.data.size)
+        return (gx.astype(np.float64, copy=False).reshape(a.shape),)
 
     return _record(a.data[index], (a,), vjp)
 
@@ -305,7 +297,7 @@ def slice_hw(a, h0: int, h1: int, w0: int, w1: int) -> Tensor:
         out[..., h0:h1, w0:w1] = g
         return (out,)
 
-    return _record(a.data[..., h0:h1, w0:w1].copy(), (a,), vjp)
+    return _record(a.data[..., h0:h1, w0:w1], (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +430,8 @@ def _conv(x, weight, bias, stride: int, pad: int, transposed: bool) -> Tensor:
 
     def vjp(g):
         # the correlation runs from `parts` to `out`: x to y, or g to x if transposed
-        parts, out = (_phases(g, stride, k, pad), x.data) if transposed else (xb, g)
+        src, out = (g, x.data) if transposed else (x.data, g)
+        parts = _phases(src, stride, k, pad)
         gx = gw = gb = None
         if x.requires_grad:
             gx = (_corr(parts, weight.data, h, w, batch=True) if transposed

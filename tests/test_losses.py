@@ -451,6 +451,12 @@ class TestTotal:
         with pytest.raises(ValueError):
             L.loss_total(self.CFG, params, np.zeros((6, *self.CFG.input_size)), pairs)
 
+    @pytest.mark.parametrize("pairs", [[(0, 1, 2, 3)], [0, 1], [(0.5, 1)], [], [(True, False)]])
+    def test_malformed_pairs_rejected(self, pairs):
+        params = N.init_params(self.CFG, seed=12)
+        with pytest.raises(T.ShapeError, match=r"pairs must be \[N, 2\] ints"):
+            L.loss_total(self.CFG, params, np.zeros((6, *self.CFG.input_size)), pairs)
+
     def test_each_frame_encoded_once(self, monkeypatch):
         params = N.init_params(self.CFG, seed=8)
         rows = []

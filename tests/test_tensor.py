@@ -1,5 +1,6 @@
 """Autodiff core: forward oracles, adjoint identities, finite-difference checks."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -107,6 +108,17 @@ class TestElementwise:
         with pytest.raises(T.ShapeError):
             T.slice_hw(a, 0, 4, 0, 2)
 
+    def test_reshape_slice_hw_take_channel_return_views(self):
+        a = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        for out in (T.reshape(a, (4, 6)), T.slice_hw(a, 1, 3, 0, 2), T.take_channel(a, 1)):
+            assert np.shares_memory(out.data, a.data)
+
+    def test_take_empty_index_gradient_is_float64_zeros(self):
+        a = Tensor(np.ones((3, 2)), requires_grad=True)
+        T.total(T.take(a, [])).backward()
+        assert a.grad.dtype == np.float64
+        assert np.array_equal(a.grad, np.zeros((3, 2)))
+
     def test_take_matches_loop_oracle(self):
         # rows 1 and 4 repeat, rows 2 and 5 go unused
         rng = np.random.default_rng(3)
@@ -177,6 +189,24 @@ class TestBackwardSemantics:
         assert loss._parents == ()
         assert np.array_equal(a.grad, [0.0, 1.0, 2.0])
 
+    def test_backward_releases_each_node_once_its_vjp_has_run(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        held, dead = [], []
+
+        def vjp(g):
+            dead.append(held[0]() is None)
+            return (g,)
+
+        def build():  # only the root outlives this frame
+            a = T._record(x.data * 1.0, (x,), vjp)
+            b = T.square(a)
+            held.append(weakref.ref(b.data))
+            return T.total(b)
+
+        build().backward()
+        assert dead == [True]
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
     def test_no_grad_suppresses_tape(self):
         a = Tensor([2.0], requires_grad=True)
         with T.no_grad():
@@ -211,6 +241,37 @@ class TestBackwardSemantics:
         x2 = Tensor(x_val.copy(), requires_grad=True)
         T.scalar_mul(T.mean(T.square(x2)), c).backward()
         assert np.allclose(x2.grad, c * x1.grad, rtol=1e-12, atol=1e-12)
+
+
+class TestTapeRetention:
+    """What an op's tape node keeps beyond its output, measured with tracemalloc:
+    nothing its inputs already hold, so no padded copy and no mask."""
+
+    SHAPE = (4, 8, 32, 32)
+
+    @staticmethod
+    def kept(op, *args):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op(*args)
+            return tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("op, k, stride", [(T.conv2d, 3, 1), (T.conv_transpose2d, 4, 2)])
+    def test_conv_keeps_no_copy_of_its_input(self, op, k, stride):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8, k, k)), requires_grad=True)
+        b = Tensor(np.zeros(8), requires_grad=True)
+        kept = self.kept(op, x, w, b, stride, 1)
+        assert kept < x.data.nbytes / 16, kept
+
+    def test_leaky_relu_keeps_no_mask(self):
+        x = Tensor(np.random.default_rng(1).normal(size=self.SHAPE), requires_grad=True)
+        kept = self.kept(T.leaky_relu, x)
+        assert kept < x.data.size / 16, kept
 
 
 class TestConvForward:

@@ -7,7 +7,9 @@ Runs `online_adapt` at the default settings on one phantom scaled from the
 the pixel spacing shrinks to match. The weights are `init_params(seed=0)`
 with the head weights scaled by 1e-3, as in the benchmark's checkpoint, so
 the flows stay small. After one warm-up run it times 3 runs and prints the
-BLAS thread variables, the median ms per video and the process's peak RSS.
+BLAS thread variables, the median ms per video, the median minor page faults
+and CPU ms (user + system, all threads) per video from `getrusage` around
+each run, and the process's peak RSS.
 It imports foal from the `src/` directory of its own checkout.
 """
 
@@ -45,17 +47,22 @@ def main(argv: list[str]) -> None:
     cfg = N.NetConfig(input_size=(size, size))
     base = N.init_params(cfg, seed=0)
     base["head.weight"].data *= HEAD_DAMP
-    ms = []
+    ms, faults, cpu_ms = [], [], []
     for run in range(1 + RUNS):
-        t0 = time.perf_counter()
+        r0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
         A.online_adapt(cfg, base, video, A.OnlineConfig())
+        t1, r1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
         if run:
-            ms.append((time.perf_counter() - t0) * 1e3)
+            ms.append((t1 - t0) * 1e3)
+            faults.append(r1.ru_minflt - r0.ru_minflt)
+            cpu_ms.append((r1.ru_utime + r1.ru_stime - r0.ru_utime - r0.ru_stime) * 1e3)
 
     for var in BLAS_VARS:
         print(f"{var}={os.environ.get(var, '(unset)')}")
     print(f"size {size}x{size}: online_adapt median {statistics.median(ms):.1f} ms per video "
           f"over {RUNS} runs ({', '.join(f'{m:.1f}' for m in ms)})")
+    print(f"minor page faults median {statistics.median(faults):.0f} per video, "
+          f"CPU median {statistics.median(cpu_ms):.1f} ms per video")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"peak RSS {peak_mb:.1f} MB")
 
