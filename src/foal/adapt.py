@@ -15,7 +15,7 @@ inner loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -211,12 +211,8 @@ def meta_train_step(cfg: NetConfig, theta: ParamSet, videos: Sequence[Video],
         accum[name] /= n
 
     meta_opt.step(theta, accum)
-    mean = lambda xs: float(np.mean(xs))
     rec = MetaStepRecord(step=step, heldout=LossReport(
-        mse=mean([r.mse for r in reports]),
-        smooth=mean([r.smooth for r in reports]),
-        consistency=mean([r.consistency for r in reports]),
-        total=mean([r.total for r in reports])))
+        *(float(np.mean(field)) for field in zip(*map(astuple, reports)))))
     _check_finite(f"meta step {step} diverged, held-out loss", rec.heldout.total, theta)
     return rec
 

@@ -437,8 +437,8 @@ def load_manifest(path) -> DatasetSplit:
 
 
 def load_entry(entry: ManifestEntry) -> tuple[Video, list[LabelMask]]:
-    """Read an entry's video and masks, enforcing one mask per frame when
-    masks are present at all."""
+    """Read an entry's video and masks, enforcing one mask per frame, at the
+    video's frame shape and pixel spacing, when masks are present at all."""
     video = read_video(entry.video_path)
     video.video_id = entry.video_id
     masks = [read_mask(m) for m in entry.mask_paths]
@@ -449,4 +449,7 @@ def load_entry(entry: ManifestEntry) -> tuple[Video, list[LabelMask]]:
         if m.labels.shape != video.frame_shape:
             raise FormatError(f"{entry.video_id}: mask shape {m.labels.shape} "
                               f"!= frame shape {video.frame_shape}")
+        if m.pixel_spacing_mm != video.pixel_spacing_mm:
+            raise FormatError(f"{entry.video_id}: mask pixel spacing {m.pixel_spacing_mm} "
+                              f"!= video pixel spacing {video.pixel_spacing_mm}")
     return video, masks

@@ -95,9 +95,10 @@ def _lattice_margin(cfg: NetConfig, params: ParamSet, src: np.ndarray,
     return margin
 
 
-def run_suite(seed: int = 0) -> list[CheckResult]:
-    """All gradient checks, primitives through the full network."""
-    rng = np.random.default_rng(seed)
+def run_suite() -> list[CheckResult]:
+    """All gradient checks, primitives through the full network. The inputs
+    draw from seed 0 and the network's weights from seed 1."""
+    rng = np.random.default_rng(0)
     results: list[CheckResult] = []
 
     # elementwise chain exercising add / mul / square / scalar_mul / mean
@@ -166,7 +167,7 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     # full composite: three-term loss through the whole network. Unit-scale
     # frames keep the difference quotients well conditioned.
     cfg = NetConfig(input_size=(8, 8), encoder_channels=(4, 4))
-    params = N.init_params(cfg, seed=seed + 1)
+    params = N.init_params(cfg, seed=1)
     src = rng.uniform(0.0, 1.0, (1, *cfg.input_size))
     ref = rng.uniform(0.0, 1.0, (1, *cfg.input_size))
     # steer the flows off the kink lattice; see _lattice_margin

@@ -60,7 +60,7 @@ def tiny_video(seed: int) -> D.Video:
 
 def test_criterion_1_gradient_audit_under_a_minute():
     t0 = time.perf_counter()
-    results = run_suite(seed=0)
+    results = run_suite()
     elapsed = time.perf_counter() - t0
     assert {r.tolerance for r in results} == {1e-4, 1e-3}
     failing = [r.name for r in results if not r.passed]

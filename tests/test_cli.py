@@ -20,7 +20,7 @@ from foal import config as C
 from foal import data as D
 from foal.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _draw_phantom, main
 from foal.metrics import evaluate_video
-from foal.network import NetConfig
+from foal.network import NetConfig, init_params
 
 CFG_DOC = {
     "seed": 11,
@@ -112,7 +112,6 @@ class TestTrain:
     def test_checkpoint_matches_architecture(self, workspace):
         params = D.read_checkpoint(workspace["run"] / "baseline.fckp")
         cfg = NetConfig(input_size=(32, 32), encoder_channels=(8, 16))
-        from foal.network import init_params
         expected = init_params(cfg, seed=0)
         assert params.names() == expected.names()
         for n in params.names():
@@ -143,6 +142,20 @@ class TestTrain:
                          "--seed", seed, "--out", str(out)]) == EXIT_OK
             blobs.append((out / "meta.fckp").read_bytes())
         assert blobs[0] != blobs[1]
+
+    def test_meta_train_without_checkpoint_starts_from_the_seeded_init(self, workspace,
+                                                                     tmp_path):
+        cfg = C.from_json(workspace["cfg"])
+        init = tmp_path / "init.fckp"
+        D.write_checkpoint(init, init_params(cfg.net, seed=cfg.seed))
+        blobs = []
+        for name, extra in (("fresh", []), ("given", ["--checkpoint", str(init)])):
+            out = tmp_path / name
+            assert main(["meta-train", "--config", str(workspace["cfg"]),
+                         "--manifest", str(workspace["manifest"]),
+                         "--out", str(out), *extra]) == EXIT_OK
+            blobs.append((out / "meta.fckp").read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestEval:
@@ -321,6 +334,19 @@ class TestErrorPaths:
         assert f"error: manifest has no {split} videos" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_eval_without_test_videos_exits_1(self, workspace, tmp_path, capsys):
+        split = D.load_manifest(workspace["manifest"])
+        split.test_inside.clear()
+        split.test_outside.clear()
+        manifest = tmp_path / "manifest.json"
+        D.save_manifest(manifest, split)
+        code = main(["eval", "--config", str(workspace["cfg"]), "--manifest", str(manifest),
+                     "--checkpoint", str(workspace["run"] / "meta.fckp"),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "error: manifest has no test videos" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"trian": {}}')
@@ -424,7 +450,7 @@ class TestErrorPaths:
 
 class TestGradcheckCommand:
     def test_passes_and_prints_every_check(self, capsys):
-        assert main(["gradcheck", "--seed", "0"]) == EXIT_OK
+        assert main(["gradcheck"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("PASS") >= 14
         assert "FAIL" not in out
@@ -440,7 +466,7 @@ class TestGradcheckCommand:
         from foal import cli as cli_mod
         from foal.gradcheck import CheckResult
 
-        def fake_suite(seed=0):
+        def fake_suite():
             return [CheckResult("planted_failure", 1.0, 1e-4)]
 
         monkeypatch.setattr(cli_mod, "run_suite", fake_suite)

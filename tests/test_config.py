@@ -63,11 +63,42 @@ class TestStrictness:
         with pytest.raises(ConfigError, match=r"config\.net: expected an object"):
             C.from_dict({"net": 3})
 
-    def test_invalid_value_becomes_config_error(self):
-        with pytest.raises(ConfigError, match="steps"):
-            C.from_dict({"train": {"steps": -1}})
-        with pytest.raises(ConfigError, match="lo <= hi"):
-            C.from_dict({"synth": {"inside": {"lv_radius": [8.0, 6.0]}}})
+    @pytest.mark.parametrize("doc,want", [
+        ({"online": {"steps": -1}}, "config.online: steps must be >= 0, got -1"),
+        ({"online": {"pairs": 0}}, "config.online: pairs must be >= 1, got 0"),
+        ({"online": {"learning_rate": 0.0}},
+         "config.online: learning_rate must be positive, got 0.0"),
+        ({"meta": {"videos_per_step": 0}}, "config.meta: videos_per_step must be >= 1, got 0"),
+        ({"meta": {"inner_steps": -1}}, "config.meta: inner_steps must be >= 0, got -1"),
+        ({"meta": {"pairs": 0}}, "config.meta: pairs must be >= 1, got 0"),
+        ({"meta": {"inner_lr": 0.0}}, "config.meta: learning rates must be positive"),
+        ({"meta": {"meta_lr": -1e-5}}, "config.meta: learning rates must be positive"),
+        ({"meta": {"meta_steps": -1}}, "config.meta: meta_steps must be >= 0, got -1"),
+        ({"train": {"steps": -1}}, "config.train: steps must be >= 0, got -1"),
+        ({"train": {"batch_pairs": 0}}, "config.train: batch_pairs must be >= 1, got 0"),
+        ({"train": {"learning_rate": 0.0}},
+         "config.train: learning_rate must be positive, got 0.0"),
+        ({"synth": {"count_meta_train": -1}}, "config.synth: count_meta_train must be >= 0"),
+        ({"synth": {"frame_count": 1}}, "config.synth: frame_count must be >= 2"),
+        ({"synth": {"inside": {"lv_radius": [8.0, 6.0]}}},
+         "config.synth.inside: lv_radius must be (lo, hi) with lo <= hi, got (8.0, 6.0)"),
+        ({"net": {"encoder_channels": []}}, "config.net: encoder_channels must be non-empty"),
+        ({"net": {"encoder_channels": [1]}},
+         "config.net: encoder channels must be >= 2, got (1,)"),
+        ({"loss": {"beta_c": -1.0}}, "config.loss: loss weights must be non-negative"),
+        # PhantomParams' checks, reached through a group's all-lo or all-hi corner
+        ({"synth": {"inside": {"contraction_amplitude": [0.2, 1.0]}}},
+         "config.synth: inside: contraction_amplitude must lie in [0, 1), got 1.0"),
+        ({"synth": {"outside": {"lv_radius": [0.0, 7.5]}}},
+         "config.synth: outside: radii, thickness, and offset must be positive"),
+        ({"synth": {"inside": {"noise_sigma": -1.0}}},
+         "config.synth: inside: noise_sigma and intensity_gradient must be >= 0"),
+        ({"synth": {"outside": {"intensity_gradient": 1.0}}},
+         "config.synth: outside: intensity_gradient must stay below 1"),
+    ])
+    def test_invalid_value_becomes_config_error(self, doc, want):
+        with pytest.raises(ConfigError, match="^" + re.escape(want)):
+            C.from_dict(doc)
 
     @pytest.mark.parametrize("doc,path", [
         ({"seed": float("nan")}, "config.seed"),

@@ -304,6 +304,13 @@ class TestBinaryRoundTrips:
         with pytest.raises(FormatError, match="'bb.w' at byte offset 85"):
             D.read_checkpoint(path)
 
+    def test_checkpoint_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "d.fckp"
+        D.write_checkpoint(path, N.ParamSet.from_arrays({"a.w": np.ones(2), "b.w": np.zeros(2)}))
+        path.write_bytes(path.read_bytes().replace(b"b.w", b"a.w"))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: duplicate tensor name 'a.w'")):
+            D.read_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         _, masks, _ = D.generate_phantom(PhantomParams(seed=17))
         path = tmp_path / "m.fmsk"
@@ -472,3 +479,15 @@ class TestManifest:
         back = D.load_manifest(tmp_path / "manifest.json")
         with pytest.raises(FormatError, match="masks"):
             D.load_entry(back.baseline_train[0])
+
+    @pytest.mark.parametrize("shape,spacing,want", [
+        ((16, 32), (1.0, 1.0), "mask shape (16, 32) != frame shape (32, 32)"),
+        ((32, 32), (2.0, 2.0), "mask pixel spacing (2.0, 2.0) != video pixel spacing (1.0, 1.0)"),
+    ])
+    def test_mask_unlike_its_video_rejected(self, tmp_path, shape, spacing, want):
+        # the video's spacing is the one Hausdorff distances are measured in
+        split = self._write_dataset(tmp_path, n=1)
+        D.write_mask(split.baseline_train[0].mask_paths[3],
+                     LabelMask(np.zeros(shape, np.uint8), spacing))
+        with pytest.raises(FormatError, match=re.escape(f"vid000: {want}")):
+            D.load_entry(split.baseline_train[0])

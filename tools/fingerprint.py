@@ -94,7 +94,7 @@ def main() -> None:
         print(f"meta_train inner_steps {inner}  "
               f"{sha(theta, [(r.step, dataclasses.astuple(r.heldout)) for r in records])}")
 
-    print(f"gradcheck --seed 0  {sha(quiet(['gradcheck', '--seed', '0']))}")
+    print(f"gradcheck  {sha(quiet(['gradcheck']))}")
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -114,6 +114,24 @@ def main() -> None:
             csvs.append((out / "metrics.csv").read_bytes())
         assert csvs[0] == csvs[1], "metrics.csv differs between --threads 1 and 2"
         print(f"eval metrics.csv, --threads 1 and 2  {sha(csvs[0])}")
+
+        # the training commands and unadapted eval, on a second tiny tree
+        config = root / "train.json"
+        config.write_text(json.dumps({
+            "train": {"steps": 2, "batch_pairs": 6}, "meta": {"meta_steps": 1, "pairs": 6},
+            "synth": {"count_baseline_train": 2, "count_meta_train": 2,
+                      "count_test_inside": 1, "count_test_outside": 1}}))
+        data, run = root / "train_data", root / "run"
+        manifest = str(data / "manifest.json")
+        quiet(["synth", "--config", str(config), "--out", str(data)])
+        quiet(["train", "--config", str(config), "--manifest", manifest, "--out", str(run)])
+        quiet(["meta-train", "--config", str(config), "--manifest", manifest,
+               "--checkpoint", str(run / "baseline.fckp"), "--out", str(run)])
+        quiet(["eval", "--config", str(config), "--manifest", manifest,
+               "--checkpoint", str(run / "meta.fckp"), "--out", str(run), "--adapt", "none"])
+        outputs = [(run / name).read_bytes() for name in (
+            "baseline.fckp", "train_loss.csv", "meta.fckp", "meta_progress.csv", "metrics.csv")]
+        print(f"train, meta-train, eval --adapt none  {sha(*outputs)}")
 
 
 if __name__ == "__main__":
