@@ -99,7 +99,8 @@ def hausdorff(a: LabelMask, b: LabelMask, label: int) -> float:
     scale = np.array([sy, sx], dtype=np.float64)  # rows are y, cols are x
     pa = ca * scale
     pb = cb * scale
-    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.square(pa[:, None, 0] - pb[None, :, 0])  # [Ka, Kb], one axis at a time
+    d2 += np.square(pa[:, None, 1] - pb[None, :, 1])
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 

@@ -1,13 +1,17 @@
 """Reverse-mode autodiff on numpy arrays with a dynamic tape.
 
-Every operation that sees at least one gradient-requiring input records a node
-holding its inputs and a vector-Jacobian closure, and nothing else its inputs
-already hold.  ``backward`` replays those nodes in the exact reverse of
-recording order, which is a valid topological order because an op can only
-consume tensors that already exist.  Gradients are accumulated additively on
-``.grad``: at fan-out points within a pass, and on leaves across repeated
-backward calls.  A graph replays once: backward releases each node once its
-vjp has run, and a second backward through it raises ``GradError``.
+The tape is a graph of nodes, kept apart from the arrays.  A ``Tensor`` holds
+its ``data`` and, if it needs a gradient, its node.  A node holds ``grad``
+and, for an op output, the nodes of its gradient-requiring inputs, a
+vector-Jacobian closure and its recording order.  Each closure captures only
+what it reads (arrays, shapes and flags, never a ``Tensor``), so an op
+output's array lives only while the caller or a closure that reads it holds
+it.  ``backward`` replays the nodes in the exact reverse of recording order,
+which is a valid topological order because an op can only consume tensors
+that already exist.  Gradients are accumulated additively on ``.grad``: at
+fan-out points within a pass, and on leaves across repeated backward calls.
+A graph replays once: backward releases each node once its vjp has run, and
+a second backward through it raises ``GradError``.
 
 All arithmetic is float64; binary ops take same-shape operands.  An op's
 output may be a view of its input, so never write into an op output's
@@ -57,22 +61,31 @@ class no_grad:
 _op_counter = itertools.count()
 
 
+class _Node:
+    """A tape vertex: the gradient reaching one tensor and, for an op output,
+    its inputs' nodes (None where an input needs no gradient), its vjp and its
+    recording order.  A leaf's node has no vjp."""
+
+    __slots__ = ("grad", "parents", "vjp", "order")
+
+    def __init__(self, parents: tuple = (), vjp: Callable | None = None, order: int = -1):
+        self.grad, self.parents, self.vjp, self.order = None, parents, vjp, order
+
+
 class Tensor:
-    """A float64 ndarray plus optional tape bookkeeping.
+    """A float64 ndarray plus, if it requires a gradient, its tape node.
 
     Leaves are built directly (``Tensor(data, requires_grad=True)``); op
-    outputs are built through :func:`_record` and carry a vjp closure.
+    outputs are built through :func:`_record`, whose node links to the
+    inputs' nodes and holds the vjp closure.  The node never refers back to
+    the tensor, so dropping an op output frees its array unless a vjp reads it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_order")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple] | None = None
-        self._order = -1
+        self._node = _Node() if requires_grad else None
 
     # -- introspection -------------------------------------------------
 
@@ -85,8 +98,35 @@ class Tensor:
         return self.data.ndim
 
     @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
     def is_leaf(self) -> bool:
-        return self._vjp is None
+        return self._node is None or self._node.vjp is None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise GradError("a tensor that requires no gradient holds no .grad")
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _vjp(self) -> Callable | None:
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, fn: Callable) -> None:
+        self._node.vjp = fn
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -110,10 +150,7 @@ def _record(data: np.ndarray, parents: Sequence[Tensor],
     """Wrap an op result, recording a tape node if gradients are live."""
     out = Tensor(data)
     if _grad_enabled() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
-        out._order = next(_op_counter)
+        out._node = _Node(tuple(p._node for p in parents), vjp, next(_op_counter))
     return out
 
 
@@ -125,30 +162,32 @@ def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable leaf's ``.grad``.
 
     root must be scalar.  One pass pops op nodes off a max-heap on recording
-    order, runs each vjp, then releases the node, freeing its output, closure
-    and inputs once nothing else holds them; a later backward that reaches a
-    replayed node raises GradError.  Leaves keep adding across graphs; clear
-    their ``.grad`` (``ParamSet.zero_grad``) between independent passes.
+    order, runs each vjp, then releases the node, freeing its closure and its
+    links to its inputs once nothing else holds them; a later backward that
+    reaches a replayed node raises GradError.  Leaves keep adding across
+    graphs; clear their ``.grad`` (``ParamSet.zero_grad``) between independent
+    passes.
     """
     if root.data.size != 1:
         raise GradError(f"backward requires a scalar root, got shape {root.shape}")
-    if not root.requires_grad:
+    node = root._node
+    if node is None:
         raise GradError("backward on a tensor that is not connected to any "
                         "gradient-requiring leaf")
     seed = np.ones_like(root.data)
-    root.grad = seed if root.grad is None else root.grad + seed
-    heap = [] if root.is_leaf else [(-root._order, root)]
-    seen = {root._order}
+    node.grad = seed if node.grad is None else node.grad + seed
+    heap = [] if node.vjp is None else [(-node.order, node)]
+    seen = {node.order}
     while heap:
         node = heapq.heappop(heap)[1]
-        gy, parents, vjp = node.grad, node._parents, node._vjp
-        node.grad, node._parents, node._vjp = None, (), _consumed
+        gy, parents, vjp = node.grad, node.parents, node.vjp
+        node.grad, node.parents, node.vjp = None, (), _consumed
         for parent, g in zip(parents, vjp(gy)):
-            if parent.requires_grad:
+            if parent is not None:
                 parent.grad = g if parent.grad is None else parent.grad + g
-                if not parent.is_leaf and parent._order not in seen:
-                    seen.add(parent._order)
-                    heapq.heappush(heap, (-parent._order, parent))
+                if parent.vjp is not None and parent.order not in seen:
+                    seen.add(parent.order)
+                    heapq.heappush(heap, (-parent.order, parent))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +215,8 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_check(a, b, "mul")
-    return _record(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    ad, bd = a.data, b.data
+    return _record(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scalar_mul(a, s: float) -> Tensor:
@@ -187,32 +227,33 @@ def scalar_mul(a, s: float) -> Tensor:
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
-    return _record(a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
+    ad = a.data
+    return _record(ad * ad, (a,), lambda g: (2.0 * ad * g,))
 
 
 def mean(a) -> Tensor:
     a = _as_tensor(a)
-    n = a.data.size
+    shape, n = a.shape, a.data.size
     if n == 0:
         raise ShapeError("mean of an empty tensor")
     return _record(np.asarray(a.data.mean()), (a,),
-                   lambda g: (np.full(a.shape, float(g) / n),))
+                   lambda g: (np.full(shape, float(g) / n),))
 
 
 def total(a) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     a = _as_tensor(a)
+    shape = a.shape
     return _record(np.asarray(a.data.sum()), (a,),
-                   lambda g: (np.full(a.shape, float(g)),))
+                   lambda g: (np.full(shape, float(g)),))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    shape = tuple(int(s) for s in shape)
+    shape, old = tuple(int(s) for s in shape), a.shape
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    return _record(a.data.reshape(shape), (a,),
-                   lambda g: (g.reshape(a.shape),))
+        raise ShapeError(f"reshape: cannot view {old} as {shape}")
+    return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def leaky_relu(a, slope: float = 0.1) -> Tensor:
@@ -220,9 +261,10 @@ def leaky_relu(a, slope: float = 0.1) -> Tensor:
     slope = float(slope)
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must lie in (0, 1), got {slope}")
-    # 0 < slope < 1: max(a, slope*a) is the value, max(a > 0, slope) the slope
-    return _record(np.maximum(a.data, slope * a.data), (a,),
-                   lambda g: (g * np.maximum(a.data > 0.0, slope),))
+    # 0 < slope < 1: max(a, slope*a) is the value, and max(out > 0, slope) the
+    # slope, since out > 0 exactly where a > 0; so the input can be freed
+    out = np.maximum(a.data, slope * a.data)
+    return _record(out, (a,), lambda g: (g * np.maximum(out > 0.0, slope),))
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
@@ -250,12 +292,12 @@ def take_channel(a, index: int) -> Tensor:
     a = _as_tensor(a)
     if a.ndim < 3:
         raise ShapeError(f"take_channel needs >=3 dims, got shape {a.shape}")
-    c = a.shape[-3]
+    shape, c = a.shape, a.shape[-3]
     if not 0 <= index < c:
         raise ShapeError(f"take_channel: index {index} outside {c} channels")
 
     def vjp(g):
-        out = np.zeros(a.shape)
+        out = np.zeros(shape)
         sl = (Ellipsis, index, slice(None), slice(None))
         out[sl] = g
         return (out,)
@@ -274,11 +316,13 @@ def take(a, index) -> Tensor:
     if bad.size:
         raise ShapeError(f"take: row {bad[0]} outside the {len(a.data)} rows of {a.shape}")
 
+    shape, size = a.shape, a.data.size
+
     def vjp(g):
-        m = int(np.prod(a.shape[1:]))
+        m = int(np.prod(shape[1:]))
         flat = (index[:, None] * m + np.arange(m)).ravel()
-        gx = np.bincount(flat, weights=g.ravel(), minlength=a.data.size)
-        return (gx.astype(np.float64, copy=False).reshape(a.shape),)
+        gx = np.bincount(flat, weights=g.ravel(), minlength=size)
+        return (gx.astype(np.float64, copy=False).reshape(shape),)
 
     return _record(a.data[index], (a,), vjp)
 
@@ -288,12 +332,13 @@ def slice_hw(a, h0: int, h1: int, w0: int, w1: int) -> Tensor:
     a = _as_tensor(a)
     if a.ndim < 2:
         raise ShapeError(f"slice_hw needs >=2 dims, got shape {a.shape}")
-    H, W = a.shape[-2], a.shape[-1]
+    shape = a.shape
+    H, W = shape[-2], shape[-1]
     if not (0 <= h0 <= h1 <= H and 0 <= w0 <= w1 <= W):
         raise ShapeError(f"slice_hw: window [{h0}:{h1}, {w0}:{w1}] outside ({H}, {W})")
 
     def vjp(g):
-        out = np.zeros(a.shape)
+        out = np.zeros(shape)
         out[..., h0:h1, w0:w1] = g
         return (out,)
 
@@ -424,21 +469,24 @@ def _conv(x, weight, bias, stride: int, pad: int, transposed: bool) -> Tensor:
     if oh < 1 or ow < 1:
         raise ShapeError(f"{name}: output size ({oh}, {ow}) is empty for input ({h}, {w}), "
                          f"kernel {k}, stride {stride}, padding {pad}")
-    xb = None if transposed else _phases(x.data, stride, k, pad)
-    y = (_corr_adj(x.data, weight.data, stride, pad, oh, ow, batch=False) if transposed
-         else _corr(xb, weight.data, oh, ow, batch=False)) + bias.data[None, :, None, None]
+    xd, wd = x.data, weight.data
+    y = (_corr_adj(xd, wd, stride, pad, oh, ow, batch=False) if transposed else
+         _corr(_phases(xd, stride, k, pad), wd, oh, ow, batch=False)) + bias.data[None, :, None, None]
+    # the vjp reads x only for the weight gradient, and the weight only for x's
+    need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
+    xd, wd = (xd if need_w else None), (wd if need_x else None)
 
     def vjp(g):
         # the correlation runs from `parts` to `out`: x to y, or g to x if transposed
-        src, out = (g, x.data) if transposed else (x.data, g)
-        parts = _phases(src, stride, k, pad)
+        src, out = (g, xd) if transposed else (xd, g)
+        parts = _phases(src, stride, k, pad) if need_w or transposed else None
         gx = gw = gb = None
-        if x.requires_grad:
-            gx = (_corr(parts, weight.data, h, w, batch=True) if transposed
-                  else _corr_adj(g, weight.data, stride, pad, h, w, batch=True))
-        if weight.requires_grad:
+        if need_x:
+            gx = (_corr(parts, wd, h, w, batch=True) if transposed
+                  else _corr_adj(g, wd, stride, pad, h, w, batch=True))
+        if need_w:
             gw = _corr_wgrad(parts, out, k)
-        if bias.requires_grad:
+        if need_b:
             gb = g.sum(axis=(0, 2, 3))
         return gx, gw, gb
 

@@ -203,6 +203,20 @@ class TestHausdorff:
         with pytest.raises(ValueError, match="spacing"):
             M.hausdorff(a, b, 1)
 
+    def test_equals_summed_difference_tensor_bitwise(self):
+        # the [Ka, Kb, 2] form it replaced: a length-2 sum is d0 + d1, and
+        # min, max and sqrt are exact
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            spacing = tuple(rng.uniform(0.3, 3.0, 2))
+            a = mask_of(rng.integers(0, 2, (12, 15)), spacing)
+            b = mask_of(rng.integers(0, 2, (12, 15)), spacing)
+            scale = np.array(spacing[::-1])
+            pa, pb = M.contour_points(a, 1) * scale, M.contour_points(b, 1) * scale
+            d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+            want = float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
+            assert M.hausdorff(a, b, 1) == want
+
 
 class TestEvaluateVideo:
     CFG = NetConfig(input_size=(32, 32), encoder_channels=(4, 8))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from foal import adapt as A, data as D, losses as L, network as N
 from foal import tensor as T
 from foal.tensor import Tensor
 
@@ -87,6 +88,17 @@ class TestElementwise:
         a = Tensor([0.0], requires_grad=True)
         T.leaky_relu(a, 0.1).backward()
         assert a.grad[0] == 0.1
+
+    def test_leaky_relu_output_mask_equals_input_mask(self):
+        # 0 < slope < 1, so out > 0 exactly where x > 0, down to signed zeros,
+        # subnormals whose scaled value underflows, and NaN
+        tiny = np.nextafter(0.0, 1.0)
+        x = np.array([-0.0, 0.0, tiny, -tiny, 1e-300, -1e-300, np.nan, -3.0, 2.0, np.inf, -np.inf])
+        for slope in (0.1, 0.5, 1e-300, np.nextafter(1.0, 0.0)):
+            a = Tensor(x, requires_grad=True)
+            g = np.random.default_rng(4).normal(size=x.shape)
+            T.total(T.mul(T.leaky_relu(a, slope), Tensor(g))).backward()
+            assert np.array_equal(a.grad, g * np.maximum(x > 0.0, slope)), slope
 
     def test_concat_channels_and_split_grad(self):
         a = Tensor(np.arange(4.0).reshape(1, 2, 2), requires_grad=True)
@@ -207,6 +219,28 @@ class TestBackwardSemantics:
         assert dead == [True]
         assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
 
+    def test_backward_calls_a_replaced_vjp_once(self):
+        # a tracer may wrap an op output's recorded vjp from outside the tape
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(4))
+        assert T.conv2d(Tensor(x.data), Tensor(w.data), b)._vjp is None
+
+        def grads(wrap):
+            x.grad = w.grad = None
+            out, calls = T.conv2d(x, w, b, 2, 1), []
+            if wrap:
+                vjp = out._vjp
+                out._vjp = lambda g: calls.append(g) or vjp(g)
+            T.total(T.square(out)).backward()
+            return x.grad, w.grad, calls
+
+        *plain, none = grads(False)
+        *traced, calls = grads(True)
+        assert len(calls) == 1 and not none
+        assert all(np.array_equal(p, t) for p, t in zip(plain, traced))
+
     def test_no_grad_suppresses_tape(self):
         a = Tensor([2.0], requires_grad=True)
         with T.no_grad():
@@ -244,8 +278,10 @@ class TestBackwardSemantics:
 
 
 class TestTapeRetention:
-    """What an op's tape node keeps beyond its output, measured with tracemalloc:
-    nothing its inputs already hold, so no padded copy and no mask."""
+    """What the tape keeps. A node links to its inputs' nodes, not to their
+    arrays, and a vjp closure holds only what it reads: an op output the
+    caller dropped is freed unless a vjp reads it, and no op keeps a copy of
+    what its inputs already hold (measured with tracemalloc)."""
 
     SHAPE = (4, 8, 32, 32)
 
@@ -272,6 +308,99 @@ class TestTapeRetention:
         x = Tensor(np.random.default_rng(1).normal(size=self.SHAPE), requires_grad=True)
         kept = self.kept(T.leaky_relu, x)
         assert kept < x.data.size / 16, kept
+
+    def test_dropped_outputs_are_freed_before_backward(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+
+        def build(keep):
+            conv = T.conv2d(x, w, b, 1, 1)
+            sq = T.square(T.leaky_relu(conv, 0.1))
+            keep += [conv, sq]
+            return T.total(sq), (weakref.ref(conv.data), weakref.ref(sq.data))
+
+        # no vjp reads a conv output behind leaky_relu, or a square output
+        loss, held = build([])
+        assert [r() for r in held] == [None, None]
+        loss.backward()
+        grads = w.grad.copy(), b.grad.copy()
+        w.grad = b.grad = None
+        kept = []
+        build(kept)[0].backward()
+        assert np.array_equal(w.grad, grads[0]) and np.array_equal(b.grad, grads[1])
+
+    def test_leaky_relu_keeps_its_output_not_its_input(self):
+        x = Tensor(np.random.default_rng(3).normal(size=(3, 4)), requires_grad=True)
+
+        def build():
+            a = T.scalar_mul(x, 1.0)  # an op output only this frame holds
+            out = T.leaky_relu(a, 0.1)
+            return T.total(out), weakref.ref(a.data), weakref.ref(out.data)
+
+        loss, held_in, held_out = build()
+        assert held_in() is None and held_out() is not None
+        loss.backward()
+        assert held_out() is None
+        assert np.array_equal(x.grad, np.where(x.data > 0.0, 1.0, 0.1))
+
+    @staticmethod
+    def default_loss():
+        cfg = N.NetConfig()
+        params = N.init_params(cfg, seed=0)
+        video = D.preprocess(D.generate_phantom(D.PhantomParams(seed=0))[0])
+        pairs = A.sample_pairs(len(video.frames), 24, np.random.default_rng(0))
+        return params, L.loss_total(cfg, params, video.frames, pairs)[0]
+
+    def test_default_loss_frees_what_no_vjp_reads(self, monkeypatch):
+        held = []  # (op name, weakref to its output's array)
+
+        def watch(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                held.append((fn.__name__, weakref.ref(out.data)))
+                return out
+            return wrapper
+
+        conv2d = T.conv2d
+
+        def conv2d_marking_weights(x, weight, *args, **kwargs):
+            # a conv's vjp reads its weight: mark the takes that serve as one
+            for i, (_, ref) in enumerate(held):
+                if ref() is weight.data:
+                    held[i] = ("conv weight", ref)
+            return conv2d(x, weight, *args, **kwargs)
+
+        for module, name in ((T, "square"), (T, "take"), (L, "warp_image")):
+            monkeypatch.setattr(module, name, watch(getattr(module, name)))
+        monkeypatch.setattr(T, "conv2d", conv2d_marking_weights)
+        params, loss = self.default_loss()
+        monkeypatch.undo()
+        names = [name for name, _ in held]
+        assert names.count("square") > 0 and names.count("take") > 0
+        assert names.count("warp_image") == 6 and names.count("conv weight") == 2
+        assert [name for name, ref in held if ref() is not None] == ["conv weight"] * 2
+        loss.backward()
+        assert all(ref() is None for _, ref in held)
+        twin, want = self.default_loss()
+        want.backward()
+        for name in params.names():
+            assert np.array_equal(params[name].grad, twin[name].grad), name
+
+    def test_no_vjp_closure_holds_a_tensor(self):
+        _, loss = self.default_loss()
+        nodes, stack, seen = 0, [loss._node], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or node.vjp is None:
+                continue
+            seen.add(id(node))
+            nodes += 1
+            cells = [c.cell_contents for c in node.vjp.__closure__ or ()]
+            assert not any(isinstance(c, Tensor) for c in cells), node.vjp
+            stack += [p for p in node.parents if p is not None]
+        assert nodes > 50
 
 
 class TestConvForward:

@@ -99,20 +99,22 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         config = root / "config.json"
+        # a rate at which 2 online steps from these fresh weights move labels
         config.write_text(json.dumps({
-            "online": {"steps": 2, "pairs": 6},
+            "online": {"steps": 2, "pairs": 6, "learning_rate": 1e-2},
             "synth": {"count_baseline_train": 0, "count_meta_train": 0,
                       "count_test_inside": 2, "count_test_outside": 2}}))
         quiet(["synth", "--config", str(config), "--out", str(root / "data")])
         D.write_checkpoint(root / "base.fckp", base)
         csvs = []
-        for threads in ("1", "2"):
-            out = root / f"eval{threads}"
+        for adapt, threads in (("foal", "1"), ("foal", "2"), ("none", "1")):
+            out = root / f"eval_{adapt}{threads}"
             quiet(["eval", "--config", str(config), "--manifest", str(root / "data" / "manifest.json"),
                    "--checkpoint", str(root / "base.fckp"), "--out", str(out),
-                   "--threads", threads])
+                   "--threads", threads, "--adapt", adapt])
             csvs.append((out / "metrics.csv").read_bytes())
         assert csvs[0] == csvs[1], "metrics.csv differs between --threads 1 and 2"
+        assert csvs[0] != csvs[2], "adaptation left metrics.csv as --adapt none writes it"
         print(f"eval metrics.csv, --threads 1 and 2  {sha(csvs[0])}")
 
         # the training commands and unadapted eval, on a second tiny tree
