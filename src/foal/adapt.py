@@ -21,12 +21,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from foal import losses as L
-from foal import network as N
 from foal.data import Video
 from foal.losses import LossReport, LossWeights
 from foal.network import NetConfig, ParamSet
 from foal.optim import Adam, SGD
-from foal.tensor import Tensor
 
 
 class DivergenceError(ValueError):
@@ -54,6 +52,8 @@ class OnlineConfig:
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got "
                              f"'{self.optimizer}'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,6 @@ def sample_pairs(frame_count: int, k: int,
     return list(zip(a.tolist(), b.tolist()))
 
 
-def batch_loss(cfg: NetConfig, params: ParamSet, video: Video,
-               pairs: Sequence[tuple[int, int]],
-               weights: LossWeights) -> tuple[Tensor, LossReport]:
-    """Three-term loss over a stack of frame pairs from one video."""
-    return L.loss_total(cfg, params, video.frames, pairs, weights)
-
-
 def _check_finite(what: str, loss: float, theta: ParamSet) -> None:
     """DivergenceError led by `what` if `loss` or a parameter of theta is not finite."""
     bad = [n for n, t in theta.items() if not np.isfinite(t.data).all()]
@@ -127,7 +120,7 @@ def descend(cfg: NetConfig, theta: ParamSet, video: Video,
     reports: list[LossReport] = []
     for step in range(steps):
         theta.zero_grad()
-        loss, rep = batch_loss(cfg, theta, video, pairs, weights)
+        loss, rep = L.loss_total(cfg, theta, video.frames, pairs, weights)
         loss.backward()
         opt.step(theta, theta.grads())
         _check_finite(f"video '{video.video_id}': step {step} diverged, loss", rep.total, theta)
@@ -174,7 +167,7 @@ def meta_gradient(cfg: NetConfig, theta_i: ParamSet, video: Video,
     applied to the shared initialization, with no backprop through the
     inner-loop updates."""
     theta_i.zero_grad()
-    loss, rep = batch_loss(cfg, theta_i, video, heldout, weights)
+    loss, rep = L.loss_total(cfg, theta_i, video.frames, heldout, weights)
     _check_finite(f"video '{video.video_id}': held-out loss is", rep.total, theta_i)
     loss.backward()
     return theta_i.grads(), rep

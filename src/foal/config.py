@@ -112,6 +112,10 @@ class RunConfig:
     train: TrainSettings = field(default_factory=TrainSettings)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 def _leaf(value, proto, where: str):
     """`value` checked against the type of its default `proto`: lists become tuples
@@ -159,9 +163,11 @@ def from_dict(doc: dict) -> RunConfig:
 def from_json(path) -> RunConfig:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text at byte offset {e.start}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: not valid JSON ({e})") from e
     return from_dict(doc)

@@ -241,6 +241,18 @@ class _Cursor:
     def f64(self) -> float:
         return struct.unpack("<d", self.take(8))[0]
 
+    def array(self, dtype: str, dims, what: str) -> np.ndarray:
+        """A copy of the next payload, `dims` values of `dtype`; FormatError
+        at the first non-finite value, naming `what` and its byte offset."""
+        at = self.pos
+        size = math.prod(dims)  # exact: huge dims fail as truncation
+        data = np.frombuffer(self.take(np.dtype(dtype).itemsize * size), dtype=dtype)
+        finite = np.isfinite(data)
+        if not finite.all():
+            raise FormatError(f"{self.path}: non-finite {what} at byte offset "
+                              f"{at + data.itemsize * int(np.argmin(finite))}")
+        return data.reshape(dims).copy()
+
     def expect_magic(self, magic: bytes) -> None:
         got = self.take(4)
         if got != magic:
@@ -271,17 +283,13 @@ def _read_grid(path, magic: bytes, ndim: int, dtype: str, make):
     cur = _Cursor(Path(path).read_bytes(), path)
     cur.expect_magic(magic)
     dims = [cur.u32() for _ in range(ndim)]
+    at = cur.pos
     spacing = (cur.f64(), cur.f64())
-    at = cur.pos  # the payload; the spacing is the 16 bytes before it
-    data = np.frombuffer(cur.take(np.dtype(dtype).itemsize * math.prod(dims)), dtype=dtype)
+    data = cur.array(dtype, dims, "frame value")  # frames only: u8 labels are always finite
     cur.done()
-    if not np.isfinite(data).all():  # frames only: u8 labels are always finite
-        bad = np.flatnonzero(~np.isfinite(data))[0]
-        raise FormatError(f"{path}: non-finite frame value at byte offset "
-                          f"{at + data.itemsize * bad}")
     try:
-        _check_spacing(spacing, f"byte offset {at - 16}: ")
-        return make(data.reshape(dims).copy(), spacing)
+        _check_spacing(spacing, f"byte offset {at}: ")
+        return make(data, spacing)
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from None
 
@@ -331,16 +339,10 @@ def read_checkpoint(path) -> ParamSet:
                               f"offset {at + e.start}") from None
         ndim = cur.u32()
         dims = struct.unpack(f"<{ndim}I", cur.take(4 * ndim))
-        size = math.prod(dims)  # exact: huge dims fail as truncation below
-        at = cur.pos
-        data = np.frombuffer(cur.take(8 * size), dtype="<f8").reshape(dims)
-        bad = np.flatnonzero(~np.isfinite(data))
-        if bad.size:
-            raise FormatError(f"{path}: non-finite value in tensor '{name}' at byte "
-                              f"offset {at + 8 * bad[0]}")
+        data = cur.array("<f8", dims, f"value in tensor '{name}'")
         if name in arrays:
             raise FormatError(f"{path}: duplicate tensor name '{name}'")
-        arrays[name] = data.copy()
+        arrays[name] = data
     cur.done()
     return ParamSet.from_arrays(arrays)
 
@@ -402,7 +404,9 @@ def save_manifest(path, split: DatasetSplit) -> None:
 def load_manifest(path) -> DatasetSplit:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text at byte offset {e.start}") from None
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(doc, dict) or not isinstance(doc.get("videos"), list):

@@ -112,7 +112,7 @@ def run_suite() -> list[CheckResult]:
     x0 = rng.normal(size=(2, 6))
     x0[np.abs(x0) < 0.05] += 0.2
     results.append(_check("leaky_relu",
-                          lambda x: T.mean(T.leaky_relu(x, 0.1)), x0))
+                          lambda x: T.mean(T.leaky_relu(x, N.LEAKY_SLOPE)), x0))
 
     # reductions and shaping
     results.append(_check("concat_slice",
@@ -171,13 +171,9 @@ def run_suite() -> list[CheckResult]:
     src = rng.uniform(0.0, 1.0, (1, *cfg.input_size))
     ref = rng.uniform(0.0, 1.0, (1, *cfg.input_size))
     # steer the flows off the kink lattice; see _lattice_margin
-    for bias in ((0.37, -0.29), (0.43, -0.41), (0.31, 0.47), (-0.53, 0.23),
-                 (0.61, 0.39), (-0.27, -0.57)):
-        params["head.bias"].data[:] = bias
-        if _lattice_margin(cfg, params, src, ref) >= 0.02:
-            break
-    else:
-        raise RuntimeError("could not find an off-lattice flow configuration")
+    params["head.bias"].data[:] = (0.37, -0.29)
+    if _lattice_margin(cfg, params, src, ref) < 0.02:
+        raise RuntimeError("the flows of the network check lie too near the kink lattice")
     weights = LossWeights()
     frames, pairs = np.concatenate([src, ref]), [(0, 1)]
 

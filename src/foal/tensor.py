@@ -256,7 +256,7 @@ def reshape(a, shape) -> Tensor:
     return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def leaky_relu(a, slope: float = 0.1) -> Tensor:
+def leaky_relu(a, slope: float) -> Tensor:
     a = _as_tensor(a)
     slope = float(slope)
     if not 0.0 < slope < 1.0:
@@ -287,22 +287,28 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     return _record(np.concatenate([t.data for t in ts], axis=-3), ts, vjp)
 
 
+def _select(a: Tensor, key: tuple) -> Tensor:
+    """The view a.data[key] for a basic-index key; the vjp writes the gradient
+    into zeros of a's shape at key."""
+    shape = a.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        out[key] = g
+        return (out,)
+
+    return _record(a.data[key], (a,), vjp)
+
+
 def take_channel(a, index: int) -> Tensor:
     """Select one channel from the third-from-last axis, dropping that axis."""
     a = _as_tensor(a)
     if a.ndim < 3:
         raise ShapeError(f"take_channel needs >=3 dims, got shape {a.shape}")
-    shape, c = a.shape, a.shape[-3]
+    c = a.shape[-3]
     if not 0 <= index < c:
         raise ShapeError(f"take_channel: index {index} outside {c} channels")
-
-    def vjp(g):
-        out = np.zeros(shape)
-        sl = (Ellipsis, index, slice(None), slice(None))
-        out[sl] = g
-        return (out,)
-
-    return _record(a.data[..., index, :, :], (a,), vjp)
+    return _select(a, (Ellipsis, index, slice(None), slice(None)))
 
 
 def take(a, index) -> Tensor:
@@ -332,17 +338,10 @@ def slice_hw(a, h0: int, h1: int, w0: int, w1: int) -> Tensor:
     a = _as_tensor(a)
     if a.ndim < 2:
         raise ShapeError(f"slice_hw needs >=2 dims, got shape {a.shape}")
-    shape = a.shape
-    H, W = shape[-2], shape[-1]
+    H, W = a.shape[-2], a.shape[-1]
     if not (0 <= h0 <= h1 <= H and 0 <= w0 <= w1 <= W):
         raise ShapeError(f"slice_hw: window [{h0}:{h1}, {w0}:{w1}] outside ({H}, {W})")
-
-    def vjp(g):
-        out = np.zeros(shape)
-        out[..., h0:h1, w0:w1] = g
-        return (out,)
-
-    return _record(a.data[..., h0:h1, w0:w1], (a,), vjp)
+    return _select(a, (Ellipsis, slice(h0, h1), slice(w0, w1)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 from foal import adapt as A
 from foal import config as C
 from foal import data as D
+from foal import losses as L
 from foal import network as N
 from foal import tensor as T
 from foal.adapt import MetaConfig, OnlineConfig
@@ -92,8 +93,8 @@ def test_criterion_2_meta_gradient_averaging_equivalence():
     averaged = {n: g / len(videos) for n, g in accum.items()}
 
     leaves = [th.clone() for th in adapted]
-    l0, _ = A.batch_loss(CFG16, leaves[0], videos[0], batches[0], W)
-    l1, _ = A.batch_loss(CFG16, leaves[1], videos[1], batches[1], W)
+    l0, _ = L.loss_total(CFG16, leaves[0], videos[0].frames, batches[0], W)
+    l1, _ = L.loss_total(CFG16, leaves[1], videos[1].frames, batches[1], W)
     T.scalar_mul(T.add(l0, l1), 0.5).backward()
 
     worst = 0.0
@@ -127,7 +128,7 @@ def test_criterion_3_zero_inner_steps_is_a_plain_optimizer_step():
         video = videos[int(vi)]
         pairs = A.sample_pairs(video.frame_count, mcfg.pairs, rng)
         probe = theta_plain.clone()
-        loss, _ = A.batch_loss(CFG16, probe, video, pairs, W)
+        loss, _ = L.loss_total(CFG16, probe, video.frames, pairs, W)
         loss.backward()
         for n in accum:
             accum[n] += probe[n].grad
@@ -289,9 +290,8 @@ def test_criterion_6_online_adaptation_reduces_heldout_loss(experiment):
                    for b in range(video.frame_count)
                    if a != b and (a, b) not in used]
         with T.no_grad():
-            _, before = A.batch_loss(cfg.net, base, video, heldout, cfg.loss)
-            _, after = A.batch_loss(cfg.net, adapted, video, heldout,
-                                    cfg.loss)
+            _, before = L.loss_total(cfg.net, base, video.frames, heldout, cfg.loss)
+            _, after = L.loss_total(cfg.net, adapted, video.frames, heldout, cfg.loss)
         improved += after.total < before.total
     frac = improved / len(videos)
     _line(6, len(videos) >= 20 and frac >= 0.9,

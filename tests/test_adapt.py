@@ -7,6 +7,7 @@ import pytest
 
 from foal import adapt as A
 from foal import data as D
+from foal import losses as L
 from foal import network as N
 from foal import tensor as T
 from foal.adapt import MetaConfig, OnlineConfig
@@ -156,7 +157,7 @@ class TestMetaGradient:
         grads, _ = A.meta_gradient(CFG, theta.clone(), videos[0], pairs, W)
 
         direct = theta.clone()
-        loss, _ = A.batch_loss(CFG, direct, videos[0], pairs, W)
+        loss, _ = L.loss_total(CFG, direct, videos[0].frames, pairs, W)
         loss.backward()
         for n in theta.names():
             assert np.array_equal(grads[n], direct[n].grad)
@@ -183,8 +184,8 @@ class TestMetaTrainStep:
         averaged = {n: (g1[n] + g2[n]) / 2.0 for n in g1}
 
         joint = theta.clone()
-        l1, _ = A.batch_loss(CFG, joint, videos[0], pairs1, W)
-        l2, _ = A.batch_loss(CFG, joint, videos[1], pairs2, W)
+        l1, _ = L.loss_total(CFG, joint, videos[0].frames, pairs1, W)
+        l2, _ = L.loss_total(CFG, joint, videos[1].frames, pairs2, W)
         T.scalar_mul(T.add(l1, l2), 0.5).backward()
         for n in averaged:
             denom = max(1.0, np.abs(averaged[n]).max())
@@ -232,7 +233,7 @@ class TestMetaTrainStep:
             video = videos[int(vi)]
             pairs = A.sample_pairs(video.frame_count, 5, rng2)
             probe = theta_plain.clone()
-            loss, _ = A.batch_loss(CFG, probe, video, pairs, W)
+            loss, _ = L.loss_total(CFG, probe, video.frames, pairs, W)
             loss.backward()
             for n in accum:
                 accum[n] += probe[n].grad

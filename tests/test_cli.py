@@ -95,6 +95,13 @@ class TestSynth:
         b = (out2 / "baseline_train_000.fvid").read_bytes()
         assert a != b
 
+    def test_negative_seed_override_rejected_before_writing(self, workspace, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert main(["synth", "--config", str(workspace["cfg"]),
+                     "--seed", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_phantom_draws_follow_the_field_order(self):
         # the ranges are drawn in SynthGroup's field order, then the phantom
         # seed; reordering the fields would change every synthesized video

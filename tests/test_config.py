@@ -95,6 +95,9 @@ class TestStrictness:
          "config.synth: inside: noise_sigma and intensity_gradient must be >= 0"),
         ({"synth": {"outside": {"intensity_gradient": 1.0}}},
          "config.synth: outside: intensity_gradient must stay below 1"),
+        # negative seeds, at the top level and in a section
+        ({"seed": -3}, "config: seed must be >= 0, got -3"),
+        ({"online": {"seed": -3}}, "config.online: seed must be >= 0, got -3"),
     ])
     def test_invalid_value_becomes_config_error(self, doc, want):
         with pytest.raises(ConfigError, match="^" + re.escape(want)):
@@ -191,6 +194,13 @@ class TestFiles:
         p = tmp_path / "broken.json"
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            C.from_json(p)
+
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe{}")
+        want = f"{p}: not UTF-8 text at byte offset 0"
+        with pytest.raises(ConfigError, match=re.escape(want)):
             C.from_json(p)
 
     def test_readme_configuration_block_is_the_defaults(self):

@@ -472,6 +472,13 @@ class TestManifest:
         with pytest.raises(FormatError, match="JSON"):
             D.load_manifest(tmp_path / "manifest.json")
 
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b"\xff\xfe{}")
+        want = f"{path}: not UTF-8 text at byte offset 0"
+        with pytest.raises(FormatError, match=re.escape(want)):
+            D.load_manifest(path)
+
     def test_mask_count_mismatch_rejected(self, tmp_path):
         split = self._write_dataset(tmp_path, n=1)
         split.baseline_train[0].mask_paths.pop()

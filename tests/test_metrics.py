@@ -242,6 +242,22 @@ class TestEvaluateVideo:
         for lab in (1, 2, 3):
             assert M.dice(warped_gt, masks[ref], lab) > M.dice(identity, masks[ref], lab)
 
+    def test_scores_the_predicted_flow(self):
+        # zero weights and a head bias of (2, 0): the network predicts a
+        # constant 2-pixel shift along x for every pair
+        video, masks, _ = self._phantom()
+        params = N.init_params(self.CFG, seed=0)
+        for _, t in params.items():
+            t.data[...] = 0.0
+        params["head.bias"].data[:] = (2.0, 0.0)
+        rep = M.evaluate_video(self.CFG, params, video, masks)
+        truth = masks[video.frame_count // 2]
+        shape = truth.labels.shape
+        shifted = M.warp_mask(masks[0], np.full(shape, 2.0), np.zeros(shape))
+        assert rep.dice == {lab: M.dice(shifted, truth, lab) for lab in (1, 2, 3)}
+        assert rep.hausdorff_mm == {lab: M.hausdorff(shifted, truth, lab) for lab in (1, 2, 3)}
+        assert rep.dice != {lab: M.dice(masks[0], truth, lab) for lab in (1, 2, 3)}
+
     def test_mask_count_must_match_frames(self):
         video, masks, _ = self._phantom()
         params = N.init_params(self.CFG, seed=0)

@@ -306,7 +306,7 @@ class TestTapeRetention:
 
     def test_leaky_relu_keeps_no_mask(self):
         x = Tensor(np.random.default_rng(1).normal(size=self.SHAPE), requires_grad=True)
-        kept = self.kept(T.leaky_relu, x)
+        kept = self.kept(T.leaky_relu, x, 0.1)
         assert kept < x.data.size / 16, kept
 
     def test_dropped_outputs_are_freed_before_backward(self):

@@ -5,16 +5,17 @@
 Runs `online_adapt` at the default settings on one phantom scaled from the
 32x32 defaults to SIZE x SIZE: the heart's geometry grows with the frame and
 the pixel spacing shrinks to match. The weights are `init_params(seed=0)`
-with the head weights scaled by 1e-3, as in the benchmark's checkpoint, so
-the flows stay small. After one warm-up run it times 3 runs and prints the
-BLAS thread variables, the median ms per video, the median minor page faults
-and CPU ms (user + system, all threads) per video from `getrusage` around
-each run, and the process's peak RSS.
+with the head weights scaled by `HEAD_DAMP` from `perfbench/workloads.py`, as
+in the benchmark's checkpoint, so the flows stay small. After one warm-up run
+it times 3 runs and prints the BLAS thread variables, the median ms per
+video, the median minor page faults and CPU ms (user + system, all threads)
+per video from `getrusage` around each run, and the process's peak RSS.
 It imports foal from the `src/` directory of its own checkout.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import resource
 import statistics
@@ -22,16 +23,25 @@ import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-sys.path.insert(0, str(SRC))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from foal import adapt as A  # noqa: E402
 from foal import data as D  # noqa: E402
 from foal import network as N  # noqa: E402
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-HEAD_DAMP = 1e-3
 RUNS = 3
+
+
+def _head_damp() -> float:
+    """HEAD_DAMP of perfbench/workloads.py, loaded from its file as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads.HEAD_DAMP
 
 
 def main(argv: list[str]) -> None:
@@ -46,7 +56,7 @@ def main(argv: list[str]) -> None:
     video = D.preprocess(D.generate_phantom(phantom)[0])
     cfg = N.NetConfig(input_size=(size, size))
     base = N.init_params(cfg, seed=0)
-    base["head.weight"].data *= HEAD_DAMP
+    base["head.weight"].data *= _head_damp()
     ms, faults, cpu_ms = [], [], []
     for run in range(1 + RUNS):
         r0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
